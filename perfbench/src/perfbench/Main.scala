@@ -7,6 +7,8 @@ import com.sun.management.GarbageCollectionNotificationInfo
 import org.apache.spark.ListenerDrain
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions.col
+import org.json4s.{JArray, JDouble, JObject, JValue}
+import org.json4s.jackson.JsonMethods.{compact, render}
 import scala.collection.mutable
 import scala.jdk.CollectionConverters._
 import repro.core.{Approach, CostModel, Optimizer, Weights}
@@ -45,6 +47,9 @@ object HeapWatch {
       case _ =>
     }
 
+  /** Forget the readings so far: the next peak covers only what follows. */
+  def reset(): Unit = peak = 0L
+
   def peakMb: Double = peak / 1048576.0
 }
 
@@ -54,9 +59,9 @@ object HeapWatch {
   *
   * Phases: plan search (no Spark), set-up, exact references, a checked
   * warm-up round, then timed rounds over every query and strategy until
-  * the time budget is spent (at least one). With `trace`, a counted pass
-  * replaces most of the warm-up, the timed calls are traced (call spans,
-  * Spark job and stage spans), the Catalyst rule's planning is timed, and
+  * the time budget is spent (at least one). With `trace`, the timed calls
+  * are traced (call spans, Spark job and stage spans), a counted pass
+  * follows the timed rounds, the Catalyst rule's planning is timed, and
   * per-layer metrics are reported instead of end-to-end ones.
   */
 final class Bench(o: Options) {
@@ -203,39 +208,18 @@ final class Bench(o: Options) {
 
     val strategies = Metrics.strategyKeys ++ (if (o.trace) Seq(Factorized) else Nil)
 
-    // Counted pass (traced runs only): exact probes, with the full bag
-    // checksum. It also warms up the six approaches.
-    final case class Counted(ms: Double, probes: Double, model: Double)
-    val counted = if (!o.trace) Nil else for (query <- queries; a <- Approach.all) yield {
-      val k = Metrics.approachKey(a)
-      val (e, ms) = timed(execute(query, k, counting = true))
-      check(query, k, e.rows, e.flat.map(checksum(query, k, _)))
-      log(f"counted ${query.name} $k: $ms%.0f ms")
-      (k, Counted(ms, e.weighted, CostModel.cost(query.q.tree, query.order, a).total(weights)))
-    }
-
-    // Warm-up: every call not yet made once, with the full bag checksum.
-    // Nothing is timed here, so the calls run concurrently to shorten the
-    // run; the Catalyst call goes last and alone, because its rule is
-    // injected session-wide.
-    val warmed = counted.map(_._1).toSet
-    val (warmCatalyst, warmRest) =
-      (for (query <- queries; s <- strategies if !warmed(s)) yield (query, s))
-        .partition(_._2 == Metrics.Catalyst)
-    def warmUp(query: Query, s: String): (Exec, Option[Checksum]) = {
+    // Warm-up: every call made once, one at a time, with the full bag
+    // checksum.
+    for (query <- queries; s <- strategies) {
       val e = execute(query, s)
-      (e, e.flat.map(checksum(query, s, _)))
+      check(query, s, e.rows, e.flat.map(checksum(query, s, _)))
     }
-    val pool = java.util.concurrent.Executors.newFixedThreadPool(Cores)
-    val warm =
-      try warmRest.map { case (query, s) => pool.submit(() => warmUp(query, s)) }.map(_.get())
-      finally pool.shutdown()
-    for (((query, s), (e, ck)) <- warmRest.zip(warm) ++ warmCatalyst.map(qs => qs -> warmUp(qs._1, qs._2)))
-      check(query, s, e.rows, ck)
     // Let background JIT compilation and garbage collection settle, so the
-    // first timed call does not pay for the warm-up's.
+    // first timed call does not pay for the warm-up's, and let the heap
+    // peak cover the timed rounds only.
     System.gc()
     Thread.sleep(1000)
+    HeapWatch.reset()
     log("warm-up done")
 
     // Timed rounds, all traced in a traced run. The end-to-end metrics come
@@ -284,6 +268,21 @@ final class Bench(o: Options) {
       sc.removeSparkListener(listener)
     } else rounds(0L)
     log(s"timed rounds: $round in ${(System.nanoTime() - loopStart) / 1e9} s")
+    // A last collection, so a round without one still gives a reading.
+    System.gc()
+    Thread.sleep(200)
+    val peakHeapMb = HeapWatch.peakMb
+
+    // Counted pass (traced runs only), after the timed rounds so every
+    // approach is warm: exact probes, with the full bag checksum.
+    final case class Counted(ms: Double, probes: Double, model: Double)
+    val counted = if (!o.trace) Nil else for (query <- queries; a <- Approach.all) yield {
+      val k = Metrics.approachKey(a)
+      val (e, ms) = timed(execute(query, k, counting = true))
+      check(query, k, e.rows, e.flat.map(checksum(query, k, _)))
+      log(f"counted ${query.name} $k: $ms%.0f ms")
+      (k, Counted(ms, e.weighted, CostModel.cost(query.q.tree, query.order, a).total(weights)))
+    }
 
     def sumOverQueries(f: String => Double): Double = queries.map(q => f(q.name)).sum
     def median(xs: Iterable[Double]): Double = Tables.percentile(xs.toSeq, 50)
@@ -294,7 +293,7 @@ final class Bench(o: Options) {
         "setup_s"         -> median(setupS),
         "round_cpu_s"     -> median(roundCpu),
         "plan_cost_ratio" -> geomean(plan.ratios(Optimizer.Heuristic.SurvivalProb.name)),
-        "peak_heap_mb"    -> { System.gc(); Thread.sleep(200); HeapWatch.peakMb },
+        "peak_heap_mb"    -> peakHeapMb,
       )
       else {
         val spans = tracer.all
@@ -365,47 +364,47 @@ final class Bench(o: Options) {
       }
 
     val units = (if (o.trace) Metrics.perLayer else Metrics.endToEnd).toMap
-    val env = Seq(
-      "workload" -> workload.name, "seed" -> o.seed, "seconds" -> o.seconds, "trace" -> o.trace,
-      "rev" -> o.rev, "nproc" -> Runtime.getRuntime.availableProcessors(),
-      "driver_heap_mb" -> Runtime.getRuntime.maxMemory() / 1048576,
-      "spark_version" -> spark.version, "master" -> spark.sparkContext.master,
-      "shuffle_partitions" -> spark.conf.get("spark.sql.shuffle.partitions"),
-      "queries" -> queries.map(q => Seq("name" -> q.name, "n" -> q.q.tree.n,
-        "driver" -> q.q.tree.driverSize.toLong, "out_rows" -> q.expected.flat.rows,
-        "order" -> q.order.mkString(","), "stats" -> q.q.tree.toString)),
-      "timed_rounds" -> round,
-      "round_ms" -> roundMs.toSeq,
+    import org.json4s.JsonDSL._
+    val env: JObject =
+      ("workload" -> workload.name) ~ ("seed" -> o.seed) ~ ("seconds" -> o.seconds) ~
+      ("trace" -> o.trace) ~ ("rev" -> o.rev) ~ ("nproc" -> Runtime.getRuntime.availableProcessors()) ~
+      ("driver_heap_mb" -> Runtime.getRuntime.maxMemory() / 1048576) ~
+      ("spark_version" -> spark.version) ~ ("master" -> spark.sparkContext.master) ~
+      ("shuffle_partitions" -> spark.conf.get("spark.sql.shuffle.partitions")) ~
+      ("queries" -> queries.map(q => ("name" -> q.name) ~ ("n" -> q.q.tree.n) ~
+        ("driver" -> q.q.tree.driverSize.toLong) ~ ("out_rows" -> q.expected.flat.rows) ~
+        ("order" -> q.order.mkString(",")) ~ ("stats" -> q.q.tree.toString))) ~
+      ("timed_rounds" -> round) ~
+      ("round_ms" -> roundMs.toList) ~
       // Per-strategy call times, in ms, per query and round.
-      "calls" -> samples.toSeq.sortBy(_._1).map { case ((q, s), xs) => s"$q $s" -> xs.map(_.ms).toSeq },
-    )
-    val result = Seq(
-      "correct"   -> (failed == 0),
-      "attempted" -> attempted,
-      "failed"    -> failed,
-      "metrics"   -> metrics.map { case (k, v) => k -> Seq("value" -> v, "unit" -> units(k)) },
-    )
+      ("calls" -> JObject(samples.toList.sortBy(_._1).map { case ((q, s), xs) =>
+        s"$q $s" -> JArray(xs.map(x => JDouble(x.ms)).toList) }))
+    val result: JObject =
+      ("correct" -> (failed == 0)) ~ ("attempted" -> attempted) ~ ("failed" -> failed) ~
+      ("metrics" -> JObject(metrics.toList.map { case (k, v) =>
+        k -> (("value" -> v) ~ ("unit" -> units(k))) }))
     tracer.add(Span(runSpan, 0L, s"run ${workload.name} seed ${o.seed}", runStart, tracer.now()))
-    writeOut(env, result)
+    writeOut(("env" -> env) ~ ("result" -> result))
     spark.stop()
-    log(s"env ${Json.render(env)}")
-    println(Json.render(result))
+    log(s"env ${compact(render(env))}")
+    println(compact(render(result)))
     failed == 0
   }
 
-  private def writeOut(env: Seq[(String, Any)], result: Seq[(String, Any)]): Unit = {
+  private def writeOut(record: JObject): Unit = {
+    import org.json4s.JsonDSL._
     val dir = new java.io.File(o.outDir)
     dir.mkdirs()
     val stem = s"${workload.name}-seed${o.seed}-trace${if (o.trace) 1 else 0}"
-    def write(name: String, body: String): Unit = {
+    def write(name: String, body: JValue): Unit = {
       val w = new java.io.PrintWriter(new java.io.File(dir, name), "UTF-8")
-      try w.println(body) finally w.close()
+      try w.println(compact(render(body))) finally w.close()
     }
-    write(s"$stem.json", Json.render(Seq("env" -> env, "result" -> result)))
+    write(s"$stem.json", record)
     if (o.trace)
-      write(s"$stem.spans.json", Json.render(tracer.all.sortBy(_.start).map(s => Seq(
-        "id" -> s.id, "parent" -> s.parent, "name" -> s.name, "start" -> s.start, "end" -> s.end,
-        "attrs" -> s.attrs.toSeq))))
+      write(s"$stem.spans.json", tracer.all.sortBy(_.start).map(s =>
+        ("id" -> s.id) ~ ("parent" -> s.parent) ~ ("name" -> s.name) ~ ("start" -> s.start) ~
+        ("end" -> s.end) ~ ("attrs" -> s.attrs)))
   }
 }
 
@@ -415,7 +414,7 @@ object Bench {
   /** Set-up repetitions per untraced run; `setup_s` is their median. A
     * traced run sets up once.
     */
-  val SetupReps = 3
+  val SetupReps = 5
   /** Pseudo-strategy: COM with factorized output (traced runs only). */
   val Factorized = "com_factorized"
 
@@ -434,8 +433,9 @@ object Main {
 
   def main(args: Array[String]): Unit =
     if (args.sameElements(Array("--list-metrics"))) {
-      def block(ms: Seq[(String, String)]) = ms.map { case (n, u) => Seq("name" -> n, "unit" -> u) }
-      println(Json.render(Seq("end_to_end" -> block(Metrics.endToEnd), "per_layer" -> block(Metrics.perLayer))))
+      import org.json4s.JsonDSL._
+      def block(ms: Seq[(String, String)]) = ms.map { case (n, u) => ("name" -> n) ~ ("unit" -> u) }
+      println(compact(render(("end_to_end" -> block(Metrics.endToEnd)) ~ ("per_layer" -> block(Metrics.perLayer)))))
     } else {
       val ok = new Bench(parse(args)).run()
       sys.exit(if (ok) 0 else 1)
