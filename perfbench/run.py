@@ -26,6 +26,12 @@ import build  # noqa: E402
 
 TIMEOUT_S = 170
 HEAP = "2g"
+# Client compiler only. With the server compiler, compiling Spark's driver
+# code takes more than a run's minute: the CPU time of consecutive rounds
+# kept falling (26 s to 12 s over six rounds), and the round a run timed
+# measured how far compilation had got. The client compiler settles during
+# the warm-up, so the timed rounds measure the program.
+JIT = "-XX:TieredStopAtLevel=1"
 # What spark-submit adds for Spark on Java 17.
 MODULE_OPTS = ["--add-opens=java.base/%s=ALL-UNNAMED" % p for p in (
     "java.lang", "java.lang.invoke", "java.lang.reflect", "java.io", "java.net", "java.nio",
@@ -45,7 +51,7 @@ def git_rev():
 def jvm_command(main_args):
     local = os.path.join(build.BUILD_DIR, "spark-local")
     os.makedirs(local, exist_ok=True)
-    return (["java", "-Xmx" + HEAP] + build.java_env_opts() + MODULE_OPTS + [
+    return (["java", "-Xmx" + HEAP, JIT] + build.java_env_opts() + MODULE_OPTS + [
         "-Dlog4j2.configurationFile=" + os.path.join(build.BENCH_DIR, "log4j2.properties"),
         "-Dspark.local.dir=" + local,
         "-Dspark.sql.warehouse.dir=" + os.path.join(build.BUILD_DIR, "warehouse"),

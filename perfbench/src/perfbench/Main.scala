@@ -59,10 +59,10 @@ object HeapWatch {
   *
   * Phases: plan search (no Spark), set-up, exact references, a checked
   * warm-up round, then timed rounds over every query and strategy until
-  * the time budget is spent (at least one). With `trace`, the timed calls
-  * are traced (call spans, Spark job and stage spans), a counted pass
-  * follows the timed rounds, the Catalyst rule's planning is timed, and
-  * per-layer metrics are reported instead of end-to-end ones.
+  * the time budget is spent (at least two; one if traced). With `trace`,
+  * the timed calls are traced (call spans, Spark job and stage spans), a
+  * counted pass follows the timed rounds, the Catalyst rule's planning is
+  * timed, and per-layer metrics are reported instead of end-to-end ones.
   */
 final class Bench(o: Options) {
   import Bench._
@@ -214,11 +214,11 @@ final class Bench(o: Options) {
       val e = execute(query, s)
       check(query, s, e.rows, e.flat.map(checksum(query, s, _)))
     }
-    // Let background JIT compilation and garbage collection settle, so the
-    // first timed call does not pay for the warm-up's, and let the heap
-    // peak cover the timed rounds only.
+    // Let background garbage collection settle, so the first timed call
+    // does not pay for the warm-up's, and let the heap peak cover the timed
+    // rounds only.
     System.gc()
-    Thread.sleep(1000)
+    Thread.sleep(200)
     HeapWatch.reset()
     log("warm-up done")
 
@@ -231,7 +231,9 @@ final class Bench(o: Options) {
     if (o.trace) sc.addSparkListener(listener)
     val loopStart = System.nanoTime()
     var round = 0
+    val callCpu  = mutable.Map.empty[(String, String), mutable.ArrayBuffer[Double]]
     def call(query: Query, s: String, parent: Long): Unit = {
+      val cpuStart = processCpuNanos()
       val (e, span) =
         if (o.trace) tracer.span(parent, s) { id =>
           sc.setLocalProperty(JobListener.CallProperty, id.toString)
@@ -242,13 +244,15 @@ final class Bench(o: Options) {
           val e     = execute(query, s)
           (e, Span(0L, parent, s, start, tracer.now()))
         }
+      callCpu.getOrElseUpdate((query.name, s), mutable.ArrayBuffer.empty) +=
+        (processCpuNanos() - cpuStart) / 1e9
       check(query, s, e.rows, None)
       samples.getOrElseUpdate((query.name, s), mutable.ArrayBuffer.empty) += span
     }
     val roundMs  = mutable.ArrayBuffer.empty[Double]
     val roundCpu = mutable.ArrayBuffer.empty[Double]
     def rounds(workloadSpan: Long): Unit =
-      while (round == 0 || (System.nanoTime() - loopStart) / 1e9 < o.seconds) {
+      while (round < (if (o.trace) 1 else MinRounds) || (System.nanoTime() - loopStart) / 1e9 < o.seconds) {
         val roundStart = System.nanoTime()
         val cpuStart   = processCpuNanos()
         for (query <- queries) {
@@ -291,7 +295,9 @@ final class Bench(o: Options) {
     val metrics: Seq[(String, Double)] =
       if (!o.trace) Seq(
         "setup_s"         -> median(setupS),
-        "round_cpu_s"     -> median(roundCpu),
+        // Each call at its least over the rounds: a busy host only ever
+        // adds to a call's CPU time.
+        "round_cpu_s"     -> callCpu.values.map(_.min).sum,
         "plan_cost_ratio" -> geomean(plan.ratios(Optimizer.Heuristic.SurvivalProb.name)),
         "peak_heap_mb"    -> peakHeapMb,
       )
@@ -378,7 +384,10 @@ final class Bench(o: Options) {
       ("round_ms" -> roundMs.toList) ~
       // Per-strategy call times, in ms, per query and round.
       ("calls" -> JObject(samples.toList.sortBy(_._1).map { case ((q, s), xs) =>
-        s"$q $s" -> JArray(xs.map(x => JDouble(x.ms)).toList) }))
+        s"$q $s" -> JArray(xs.map(x => JDouble(x.ms)).toList) })) ~
+      // Process CPU time of each call, in s, per query and round.
+      ("call_cpu_s" -> JObject(callCpu.toList.sortBy(_._1).map { case ((q, s), xs) =>
+        s"$q $s" -> JArray(xs.map(JDouble(_)).toList) }))
     val result: JObject =
       ("correct" -> (failed == 0)) ~ ("attempted" -> attempted) ~ ("failed" -> failed) ~
       ("metrics" -> JObject(metrics.toList.map { case (k, v) =>
@@ -414,7 +423,11 @@ object Bench {
   /** Set-up repetitions per untraced run; `setup_s` is their median. A
     * traced run sets up once.
     */
-  val SetupReps = 5
+  val SetupReps = 3
+  /** Timed rounds per untraced run, at least: `round_cpu_s` adds up each
+    * call's least CPU time over them. A traced run makes at least one.
+    */
+  val MinRounds = 2
   /** Pseudo-strategy: COM with factorized output (traced runs only). */
   val Factorized = "com_factorized"
 

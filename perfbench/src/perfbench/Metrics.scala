@@ -20,11 +20,12 @@ object Metrics {
     * for a bound, and so is wall time: it counts the time the JVM waits
     * for a processor, which varies from run to run by tens of per cent.
     * The end-to-end cost of the strategies is therefore the process CPU
-    * time of a round (every strategy once on every query). Even the plan
-    * search's thread CPU time spread by up to a third across runs, so its
-    * times are per-layer (`core.*`); its plan quality stays end-to-end.
-    * Runs record per-call wall times in their result files, and traced
-    * runs report them per layer.
+    * time of a round (every strategy once on every query), with each call
+    * at its least over the run's rounds. Even the plan search's thread CPU
+    * time spread by up to a third across runs, so its times are per-layer
+    * (`core.*`); its plan quality stays end-to-end. Runs record per-call
+    * wall and CPU times in their result files, and traced runs report the
+    * wall times per layer.
     */
   val endToEnd: Seq[(String, String)] = Seq(
     "setup_s"         -> "s",

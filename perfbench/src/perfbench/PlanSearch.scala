@@ -14,13 +14,13 @@ object PlanSearch {
     * milliseconds.
     */
   val Sizes: Seq[Int] = 12 to 22
-  val TreesPerSize    = 3
+  val TreesPerSize    = 2
   /** Match-probability ranges, cycled over the trees of each size. */
   val MRanges: Seq[(Double, Double)] = Seq((0.05, 0.2), (0.2, 0.5), (0.5, 0.9), (0.05, 0.9))
   val FoRange: (Double, Double) = (1.0, 10.0)
 
   final case class Result(
-      exhaustiveMs: Seq[Double],    // per tree, best of three; all times are CPU ms
+      exhaustiveMs: Seq[Double],    // per tree; all times are CPU ms
       exhaustiveBvpMs: Seq[Double], // per tree; empty unless asked for
       greedyMs: Seq[Double],        // per heuristic call
       costMs: Seq[Double],          // per CostModel.cost call
@@ -64,20 +64,14 @@ object PlanSearch {
 
   /** Plan every tree; `withBvp` also times Algorithm 1 for BVP+COM. */
   def run(trees: Seq[JoinTree], withBvp: Boolean): Result = {
-    // Warm the JIT on every tree, so that the timed trees are not charged
-    // for compilation.
-    for (t <- trees) {
-      Optimizer.exhaustiveCom(t)
-      if (withBvp) Optimizer.exhaustiveBvpCom(t)
-      Optimizer.Heuristic.all.foreach(Optimizer.greedy(t, _))
-    }
+    // No warm-up pass: the benchmark's JVM runs the client compiler only,
+    // which compiles the search within the first trees, and the per-tree
+    // medians leave those out.
     val exh, bvp, greedy, cost = Seq.newBuilder[Double]
     val ratios = Optimizer.Heuristic.all.map(_.name -> Seq.newBuilder[Double]).toMap
     for (t <- trees) {
-      // Best of three: the least disturbed by JIT and GC activity.
-      val runs = Seq.fill(3)(timeMs(Optimizer.exhaustiveCom(t)))
-      val opt  = runs.head._1._2
-      exh += runs.map(_._2).min
+      val ((_, opt), ms) = timeMs(Optimizer.exhaustiveCom(t))
+      exh += ms
       if (withBvp) bvp += timeMs(Optimizer.exhaustiveBvpCom(t))._2
       for (h <- Optimizer.Heuristic.all) {
         val (order, gms) = timeMs(Optimizer.greedy(t, h))

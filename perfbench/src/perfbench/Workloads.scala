@@ -43,10 +43,10 @@ object Workloads {
   val shapes: Seq[Shape] = Seq(Shape("path4", 3, JoinTree.centeredPath(4, _)))
 
   val all: Seq[Workload] = Seq(
-    // High match probability and a 1e5-row flat result: data volume makes
-    // each call 15-33 % slower than on synth-sparse, but the fixed cost of
-    // the Spark jobs (about twenty per COM call) still weighs most.
-    Workload("synth-dense", shapes, (0.5, 0.9), (1.0, 5.0), targetOut = 1e5),
+    // High match probability and a 3e4-row flat result: data volume makes
+    // each round slower than on synth-sparse, but the fixed cost of the
+    // Spark jobs (about twenty per COM call) still weighs most.
+    Workload("synth-dense", shapes, (0.5, 0.9), (1.0, 5.0), targetOut = 3e4),
     // Low match probability: tiny intermediates, so the fixed cost of Spark
     // jobs and Catalyst planning dominates.
     Workload("synth-sparse", shapes, (0.05, 0.2), (1.0, 5.0), targetOut = 300),
