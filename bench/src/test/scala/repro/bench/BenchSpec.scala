@@ -2,17 +2,12 @@ package repro.bench
 
 import repro.SparkSpec
 
-/** Base trait for benchmark suites: shares the test SparkSession, trims
-  * shuffle parallelism (datasets are small; scheduling overhead dominates
-  * otherwise), and funnels every printed table through stdout so
-  * `sbt bench/test | tee bench_output.txt` captures the full report.
+/** Base trait for benchmark suites: shares the test SparkSession (built
+  * lazily, so the pure cost-model suites never start it) and funnels every
+  * printed table through stdout so `sbt bench/test | tee bench_output.txt`
+  * captures the full report.
   */
 trait BenchSpec extends SparkSpec {
-  override def beforeAll(): Unit = {
-    super.beforeAll()
-    spark.conf.set("spark.sql.shuffle.partitions", "8")
-  }
-
   def emit(lines: Seq[String]): Unit = {
     println()
     lines.foreach(println)

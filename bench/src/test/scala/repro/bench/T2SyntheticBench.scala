@@ -11,7 +11,7 @@ import repro.exp.T2Synthetic
 class T2SyntheticBench extends BenchSpec {
 
   test("T2: synthetic benchmark, six approaches") {
-    val rows = T2Synthetic.run(spark, driverN = 6000)
+    val rows = T2Synthetic.run(spark)
     emit(T2Synthetic.table(rows))
 
     val ok = rows.filter(r => r.status == "ok" && r.outMode == "flat")

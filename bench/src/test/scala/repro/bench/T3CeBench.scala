@@ -9,7 +9,7 @@ import repro.exp.T3Ce
 class T3CeBench extends BenchSpec {
 
   test("T3: CE-substitute benchmark, six approaches over five datasets") {
-    val rows = T3Ce.run(spark, scale = 0.25)
+    val rows = T3Ce.run(spark)
     emit(T3Ce.table(rows))
 
     val ok = rows.filter(_.status == "ok")

@@ -1,6 +1,5 @@
 package repro.bench
 
-import org.scalatest.funsuite.AnyFunSuite
 import repro.exp.T4Simulation
 
 /** T4 / paper Fig 13: analytic cost of the five approaches as the match
@@ -8,11 +7,11 @@ import repro.exp.T4Simulation
   * variants competitive at low m, COM variants win increasingly as m (and
   * fo) grow; BVP+COM best at low m, plain COM best at the highest m.
   */
-class T4SimulationBench extends AnyFunSuite with BenchSpecLike {
+class T4SimulationBench extends BenchSpec {
 
   test("T4: simulation analysis across shapes, m, fo") {
     val cells = T4Simulation.run()
-    emitStatic(T4Simulation.table(cells))
+    emit(T4Simulation.table(cells))
 
     // COM's advantage over BVP+STD grows with m for high fanout.
     for ((shape, _, _) <- Seq(("star7", 0, 0), ("path11", 0, 0))) {

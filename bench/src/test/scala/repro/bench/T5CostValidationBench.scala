@@ -10,7 +10,7 @@ import repro.exp.{T5CostValidation, Tables}
 class T5CostValidationBench extends BenchSpec {
 
   test("T5: cost model tracks measured execution across random orders") {
-    val pts = T5CostValidation.run(spark, driverN = 6000, nOrders = 6)
+    val pts = T5CostValidation.run(spark)
     emit(T5CostValidation.table(pts))
 
     for (q <- pts.map(_.query).distinct; a <- pts.map(_.approach).distinct) {

@@ -9,7 +9,7 @@ import repro.exp.T6Robustness
 class T6RobustnessBench extends BenchSpec {
 
   test("T6: robustness of the six approaches across random join orders") {
-    val rows = T6Robustness.run(spark, driverN = 2000, nOrders = 4)
+    val rows = T6Robustness.run(spark)
     emit(T6Robustness.table(rows))
 
     for (q <- rows.map(_.query).distinct) {

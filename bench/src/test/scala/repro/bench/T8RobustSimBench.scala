@@ -1,6 +1,5 @@
 package repro.bench
 
-import org.scalatest.funsuite.AnyFunSuite
 import repro.exp.{T8RobustSim, Tables}
 
 /** T8 / paper Fig 6: robustness of plan choice to estimation errors,
@@ -9,11 +8,11 @@ import repro.exp.{T8RobustSim, Tables}
   * match-probability model, except when fanouts are in [1,2] where the two
   * behave similarly.
   */
-class T8RobustSimBench extends AnyFunSuite with BenchSpecLike {
+class T8RobustSimBench extends BenchSpec {
 
   test("T8: robustness simulation across m/fo ranges and error levels") {
     val cells = T8RobustSim.run(nJoins = 10, trials = 100, seed = 11L)
-    emitStatic(T8RobustSim.table(cells))
+    emit(T8RobustSim.table(cells))
 
     // High-fanout, high-error cells: COM mean penalty below selectivity's.
     val stress = cells.filter(c => c.foRange._2 >= 10 && c.err.startsWith("high"))

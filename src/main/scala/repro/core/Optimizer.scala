@@ -129,19 +129,6 @@ object Optimizer {
     (o, c + w.bv * bvInit)
   }
 
-  /** Brute force over every valid permutation — test oracle only. */
-  def bruteForce(tree: JoinTree, orderCost: Seq[Int] => Double): (List[Int], Double) = {
-    var bestOrder = List.empty[Int]
-    var bestCost  = Double.PositiveInfinity
-    def rec(eval: Set[Int], acc: List[Int]): Unit =
-      if (eval.size == tree.n) {
-        val c = orderCost(acc.reverse)
-        if (c < bestCost) { bestCost = c; bestOrder = acc.reverse }
-      } else tree.eligible(eval).foreach(l => rec(eval + l, l :: acc))
-    rec(Set(0), Nil)
-    (bestOrder, bestCost)
-  }
-
   // ------------------------------------------------------------------
   // Greedy heuristics (§3.4).
   // ------------------------------------------------------------------
@@ -157,12 +144,9 @@ object Optimizer {
     val all: Seq[Heuristic] = Seq(RankOrdering, ExpectedTuples, SurvivalProb)
   }
 
-  def greedy(tree: JoinTree, h: Heuristic): List[Int] = {
-    val order = List.newBuilder[Int]
-    var mask  = 1
-    var eval  = Set(0)
-    while (eval.size < tree.n) {
-      val next = tree.eligible(eval).minBy { l =>
+  def greedy(tree: JoinTree, h: Heuristic): List[Int] =
+    buildOrder(tree) { (eligible, mask) =>
+      eligible.minBy { l =>
         h match {
           case Heuristic.RankOrdering =>
             (tree.stats(l).s - 1.0) / tree.probeCost(l)
@@ -172,22 +156,28 @@ object Optimizer {
             Survival.treeSurvival(tree, mask | bit(l))
         }
       }
+    }
+
+  /** A uniformly random valid order (for robustness experiments): one
+    * `rng.nextInt` per step.
+    */
+  def randomOrder(tree: JoinTree, rng: Random): List[Int] =
+    buildOrder(tree)((el, _) => el(rng.nextInt(el.length)))
+
+  /** A valid left-deep order built one join at a time: `pick` receives the
+    * relations eligible next (`JoinTree.eligible`, in node order, so `minBy`
+    * breaks ties towards the lowest node) and the bitmask of evaluated
+    * relations, and returns the one to join.
+    */
+  def buildOrder(tree: JoinTree)(pick: (List[Int], Int) => Int): List[Int] = {
+    val order = List.newBuilder[Int]
+    var mask  = 1
+    var eval  = Set(0)
+    while (eval.size < tree.n) {
+      val next = pick(tree.eligible(eval), mask)
       order += next
       eval += next
       mask |= bit(next)
-    }
-    order.result()
-  }
-
-  /** A uniformly random valid order (for robustness experiments). */
-  def randomOrder(tree: JoinTree, rng: Random): List[Int] = {
-    val order = List.newBuilder[Int]
-    var eval  = Set(0)
-    while (eval.size < tree.n) {
-      val el   = tree.eligible(eval)
-      val next = el(rng.nextInt(el.length))
-      order += next
-      eval += next
     }
     order.result()
   }

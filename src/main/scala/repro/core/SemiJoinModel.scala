@@ -92,16 +92,8 @@ object SemiJoinModel {
     * optimal for the ASI-obeying phase-2 cost function.
     */
   def phase2OrderStd(tree: JoinTree): List[Int] = {
-    val rt    = reducedTree(tree)
-    val order = List.newBuilder[Int]
-    var eval  = Set(0)
-    while (eval.size < rt.n) {
-      val next = rt.eligible(eval)
-        .minBy(l => (rt.stats(l).fo - 1.0) / rt.probeCost(l))
-      order += next
-      eval += next
-    }
-    order.result()
+    val rt = reducedTree(tree)
+    Optimizer.buildOrder(rt)((el, _) => el.minBy(l => (rt.stats(l).fo - 1.0) / rt.probeCost(l)))
   }
 
   /** Phase-2 join order for SJ+COM. By Theorem 3.5 the COM cost is
@@ -112,13 +104,6 @@ object SemiJoinModel {
     val rt = reducedTree(tree)
     def pathFanout(l: Int): Double =
       rt.pathFromRoot(l).filter(_ != 0).map(rt.stats(_).fo).product
-    val order = List.newBuilder[Int]
-    var eval  = Set(0)
-    while (eval.size < rt.n) {
-      val next = rt.eligible(eval).minBy(pathFanout)
-      order += next
-      eval += next
-    }
-    order.result()
+    Optimizer.buildOrder(rt)((el, _) => el.minBy(pathFanout))
   }
 }

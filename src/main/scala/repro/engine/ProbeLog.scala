@@ -18,17 +18,4 @@ final case class ProbeLog(
   /** Weighted probe total, comparable to `PlanCost.total`. */
   def weighted(w: Weights): Double =
     w.probe * totalHt + w.bv * bvProbes + w.semi * semiProbes + w.gen * outRows
-
-  def merge(o: ProbeLog): ProbeLog = ProbeLog(
-    htProbes = (htProbes.keySet ++ o.htProbes.keySet)
-      .map(k => k -> (htProbes.getOrElse(k, 0L) + o.htProbes.getOrElse(k, 0L))).toMap,
-    bvProbes = bvProbes + o.bvProbes,
-    semiProbes = semiProbes + o.semiProbes,
-    outRows = math.max(outRows, o.outRows),
-    wallMs = wallMs + o.wallMs,
-  )
-}
-
-object ProbeLog {
-  val empty: ProbeLog = ProbeLog(Map.empty, 0L, 0L, 0L, 0L)
 }

@@ -3,8 +3,7 @@ package repro.exp
 import org.apache.spark.sql.SparkSession
 import scala.util.Random
 import repro.core._
-import repro.data.{TreeData, TreeQuery}
-import repro.engine.Engine
+import repro.engine.{Engine, ProbeLog}
 
 /** T2 (paper Fig 11, §5.2): the synthetic benchmark. For each query shape ×
   * match-probability range we draw per-edge statistics, materialize the
@@ -13,103 +12,64 @@ import repro.engine.Engine
   * relative to COM — in flat-output mode and (for COM variants) in
   * factorized-output mode.
   *
-  * STD variants whose *estimated* cost exceeds `probeCap` are reported as
-  * TIMEOUT, mirroring the paper's timed-out red data points; queries are
-  * re-drawn until the expected output fits `outCap` (the paper filtered
-  * queries by result size the same way).
+  * STD variants whose *estimated* cost exceeds `Harness.ProbeCap` are
+  * reported as TIMEOUT, mirroring the paper's timed-out red data points;
+  * queries are re-drawn until the expected output fits `OutCap` (the paper
+  * filtered queries by result size the same way).
   */
 object T2Synthetic {
 
-  /** The paper's four shapes; snow5-1 is dropped from the default bench
-    * sweep purely for wall-clock budget (it behaves like snow3-2 — same
-    * two-level snowflake class) and remains available via this list.
+  /** The paper's shapes without snow5-1, dropped purely for wall-clock
+    * budget (it behaves like snow3-2 — same two-level snowflake class).
     */
-  val allShapes: Seq[(String, Seq[EdgeStats] => JoinTree, Int)] = Seq(
-    ("star7",   (st: Seq[EdgeStats]) => JoinTree.star(7, st), 6),
-    ("path11",  (st: Seq[EdgeStats]) => JoinTree.centeredPath(11, st), 10),
-    ("snow3-2", (st: Seq[EdgeStats]) => JoinTree.snowflake(3, 2, st), 9),
-    ("snow5-1", (st: Seq[EdgeStats]) => JoinTree.snowflake(5, 1, st), 10),
-  )
-  val shapes: Seq[(String, Seq[EdgeStats] => JoinTree, Int)] = allShapes.take(3)
+  val shapes: Seq[Shape] = Shape.paper.take(3)
+  val mRanges: Seq[(Double, Double)] = Seq((0.05, 0.2), (0.5, 0.9))
+  val Driver = 6000.0
+  val OutCap = 2e6
+  val Seed   = 5L
 
   final case class RunRow(shape: String, mRange: String, approach: String,
                           outMode: String, status: String, wallMs: Long,
-                          weighted: Double)
-
-  def sampleTree(mk: Seq[EdgeStats] => JoinTree, nEdges: Int, mr: (Double, Double),
-                 foRange: (Double, Double), driverN: Long, outCap: Double,
-                 rng: Random): JoinTree = {
-    var tries = 0
-    while (true) {
-      val st = Seq.fill(nEdges)(EdgeStats(
-        mr._1 + rng.nextDouble() * (mr._2 - mr._1),
-        foRange._1 + rng.nextDouble() * (foRange._2 - foRange._1)))
-      val t0 = mk(st)
-      val t  = new JoinTree(t0.parent, t0.stats, t0.probeCost, driverN.toDouble)
-      if (t.expectedOutput <= outCap || tries > 100) return t
-      tries += 1
-    }
-    throw new IllegalStateException("unreachable")
+                          weighted: Double) extends VsCom {
+    def key: (String, String) = (shape, mRange)
+    def cells: Seq[String]    = Seq(shape, mRange, approach, outMode)
+    def isBase: Boolean       = approach == "COM" && outMode == "flat"
   }
 
-  def run(spark: SparkSession, driverN: Long = 10000,
-          mRanges: Seq[(Double, Double)] = Seq((0.05, 0.2), (0.5, 0.9)),
-          foRange: (Double, Double) = (1.0, 5.0),
-          probeCap: Double = 3e7, outCap: Double = 2e6,
-          seed: Long = 5L, counting: Boolean = true): Seq[RunRow] = {
-    val w    = Weights()
-    val rows = scala.collection.mutable.ListBuffer.empty[RunRow]
-    for (((shape, mk, nEdges), si) <- shapes.zipWithIndex; (mr, ri) <- mRanges.zipWithIndex) {
-      val rng  = new Random(seed + si * 31 + ri)
-      val tree = sampleTree(mk, nEdges, mr, foRange, driverN, outCap, rng)
-      val q    = TreeData.generate(spark, tree, seed + si * 97 + ri)
-      q.rels.foreach(r => { r.persist(); r.count() })
-      val order   = Optimizer.greedy(tree, Optimizer.Heuristic.SurvivalProb)
-      val mrLabel = s"[${mr._1},${mr._2}]"
-      try {
-        for (a <- Approach.all) {
-          val est = CostModel.cost(tree, order, a, flatOutput = true)
-          if (est.total(w) > probeCap) {
-            rows += RunRow(shape, mrLabel, a.name, "flat", "TIMEOUT", -1L, -1.0)
-          } else {
-            val res = Engine.run(q, order, a, counting = counting, flatOutput = true)
-            rows += RunRow(shape, mrLabel, a.name, "flat", "ok",
-              res.log.wallMs, res.log.weighted(w))
+  /** Draws statistics (fo in [1, 5)) until the expected output fits
+    * `OutCap`, giving up after 102 draws.
+    */
+  def sampleTree(shape: Shape, mr: (Double, Double), rng: Random): JoinTree = {
+    def draw() = shape(Harness.drawStats(shape.edges, mr._1, mr._2 - mr._1, 1.0, 4.0, rng), Driver)
+    Iterator.continually(draw()).zipWithIndex
+      .collectFirst { case (t, tries) if t.expectedOutput <= OutCap || tries > 100 => t }
+      .get
+  }
+
+  def run(spark: SparkSession): Seq[RunRow] = {
+    val w = Weights()
+    for {
+      (shape, si) <- shapes.zipWithIndex
+      (mr, ri)    <- mRanges.zipWithIndex
+      row <- {
+        val tree  = sampleTree(shape, mr, new Random(Seed + si * 31 + ri))
+        val label = s"[${mr._1},${mr._2}]"
+        Harness.withCachedQuery(spark, tree, Seed + si * 97 + ri) { q =>
+          def row(a: Approach, outMode: String, log: Option[ProbeLog]): RunRow = log match {
+            case None    => RunRow(shape.name, label, a.name, outMode, "TIMEOUT", -1L, -1.0)
+            case Some(l) => RunRow(shape.name, label, a.name, outMode, "ok", l.wallMs, l.weighted(w))
           }
+          val order = Optimizer.greedy(tree, Optimizer.Heuristic.SurvivalProb)
+          val flat  = Harness.flatRuns(q, order).map { case (a, log) => row(a, "flat", log) }
+          val fact  = Engine.run(q, order, Approach.Com, counting = true, flatOutput = false)
+          flat :+ row(Approach.Com, "factorized", Some(fact.log))
         }
-        for (a <- Seq(Approach.Com)) {
-          val res = Engine.run(q, order, a, counting = counting, flatOutput = false)
-          rows += RunRow(shape, mrLabel, a.name, "factorized", "ok",
-            res.log.wallMs, res.log.weighted(w))
-        }
-      } finally q.rels.foreach(_.unpersist(blocking = false))
-    }
-    rows.toList
+      }
+    } yield row
   }
 
-  def table(rows: Seq[RunRow]): Seq[String] = {
-    // Ratio vs the COM flat run of the same (shape, mRange).
-    val base = rows.collect {
-      case r if r.approach == "COM" && r.outMode == "flat" && r.status == "ok" =>
-        (r.shape, r.mRange) -> r
-    }.toMap
-    val out = rows.map { r =>
-      val b = base.get((r.shape, r.mRange))
-      val (rw, rp) = b match {
-        case Some(c) if r.status == "ok" && c.wallMs > 0 && c.weighted > 0 =>
-          (r.wallMs.toDouble / c.wallMs, r.weighted / c.weighted)
-        case _ => (-1.0, -1.0)
-      }
-      Seq(r.shape, r.mRange, r.approach, r.outMode, r.status,
-        if (r.status == "ok") r.wallMs.toString else "-",
-        if (r.status == "ok") Tables.fmt(r.weighted) else "-",
-        if (rw > 0) Tables.fmt(rw) else "-",
-        if (rp > 0) Tables.fmt(rp) else "-")
-    }
-    Tables.render(
+  def table(rows: Seq[RunRow]): Seq[String] =
+    Harness.vsComTable(
       "T2 / Fig 11 - synthetic benchmark, six approaches (ratios vs COM flat)",
-      Seq("shape", "m-range", "approach", "output", "status", "wall ms",
-          "weighted probes", "wall/COM", "probes/COM"),
-      out)
-  }
+      Seq("shape", "m-range", "approach", "output"), rows)
 }

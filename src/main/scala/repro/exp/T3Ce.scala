@@ -3,19 +3,26 @@ package repro.exp
 import org.apache.spark.sql.SparkSession
 import repro.core._
 import repro.data.GraphData
-import repro.engine.Engine
 
 /** T3 (paper Fig 12, §5.3): the CE-benchmark experiment, over the synthetic
-  * zipf-graph substitutes (DESIGN.md documents the substitution). Queries
-  * are self-join patterns over each dataset's edge table; the survival
-  * heuristic on naive-estimated statistics picks the order; all six
-  * approaches run with exact probe accounting; results are reported
-  * relative to COM.
+  * zipf-graph substitutes (DESIGN.md documents the substitution), scaled to
+  * a quarter of their configured size. Queries are self-join patterns over
+  * each dataset's edge table; the survival heuristic on naive-estimated
+  * statistics picks the order; all six approaches run with exact probe
+  * accounting; results are reported relative to COM.
   */
 object T3Ce {
 
+  val Scale  = 0.25
+  val OutCap = 2e6
+  val Seed   = 7L
+
   final case class RunRow(dataset: String, query: String, approach: String,
-                          status: String, wallMs: Long, weighted: Double)
+                          status: String, wallMs: Long, weighted: Double) extends VsCom {
+    def key: (String, String) = (dataset, query)
+    def cells: Seq[String]    = Seq(dataset, query, approach)
+    def isBase: Boolean       = approach == "COM"
+  }
 
   /** Exact flat-output cardinality of an alias query, computed on the
     * collected edge list (vertex domains are small) — used to skip queries
@@ -37,64 +44,32 @@ object T3Ce {
     }
   }
 
-  def run(spark: SparkSession, scale: Double = 0.25, outCap: Double = 2e6,
-          probeCap: Double = 3e7, seed: Long = 7L,
-          shapes: Seq[(String, Seq[Int])] = GraphData.shapes,
-          counting: Boolean = true): Seq[RunRow] = {
-    val w    = Weights()
-    val rows = scala.collection.mutable.ListBuffer.empty[RunRow]
-    for (cfg0 <- GraphData.datasets) {
+  def run(spark: SparkSession): Seq[RunRow] = {
+    val w = Weights()
+    GraphData.datasets.flatMap { cfg0 =>
       val cfg = cfg0.copy(
-        vertices = math.max(100L, (cfg0.vertices * scale).toLong),
-        edges = math.max(1000L, (cfg0.edges * scale).toLong))
-      val e = GraphData.edges(spark, cfg, seed).persist()
+        vertices = math.max(100L, (cfg0.vertices * Scale).toLong),
+        edges = math.max(1000L, (cfg0.edges * Scale).toLong))
+      val e = GraphData.edges(spark, cfg, Seed).persist()
       e.count()
       val collected = e.select("src", "dst").collect()
         .map(r => (r.getLong(0), r.getLong(1)))
-      try {
-        for ((qname, parents) <- shapes) {
-          val out = exactOut(collected, parents)
-          if (out <= outCap) {
-            val q     = GraphData.aliasQuery(spark, e, parents)
-            val order = Optimizer.greedy(q.tree, Optimizer.Heuristic.SurvivalProb)
-            for (a <- Approach.all) {
-              val est = CostModel.cost(q.tree, order, a, flatOutput = true)
-              if (est.total(w) > probeCap)
-                rows += RunRow(cfg.name, qname, a.name, "TIMEOUT", -1L, -1.0)
-              else {
-                val res = Engine.run(q, order, a, counting = counting, flatOutput = true)
-                rows += RunRow(cfg.name, qname, a.name, "ok",
-                  res.log.wallMs, res.log.weighted(w))
-              }
-            }
-          } else rows += RunRow(cfg.name, qname, "(all)", s"SKIP out=${out.toLong}", -1L, -1.0)
-        }
+      try GraphData.shapes.flatMap { case (qname, parents) =>
+        val out = exactOut(collected, parents)
+        if (out <= OutCap) {
+          val q     = GraphData.aliasQuery(spark, e, parents)
+          val order = Optimizer.greedy(q.tree, Optimizer.Heuristic.SurvivalProb)
+          Harness.flatRuns(q, order).map {
+            case (a, None)    => RunRow(cfg.name, qname, a.name, "TIMEOUT", -1L, -1.0)
+            case (a, Some(l)) => RunRow(cfg.name, qname, a.name, "ok", l.wallMs, l.weighted(w))
+          }
+        } else Seq(RunRow(cfg.name, qname, "(all)", s"SKIP out=${out.toLong}", -1L, -1.0))
       } finally { e.unpersist(blocking = false); () }
     }
-    rows.toList
   }
 
-  def table(rows: Seq[RunRow]): Seq[String] = {
-    val base = rows.collect {
-      case r if r.approach == "COM" && r.status == "ok" => (r.dataset, r.query) -> r
-    }.toMap
-    val out = rows.map { r =>
-      val b = base.get((r.dataset, r.query))
-      val (rw, rp) = b match {
-        case Some(c) if r.status == "ok" && c.wallMs > 0 && c.weighted > 0 =>
-          (r.wallMs.toDouble / c.wallMs, r.weighted / c.weighted)
-        case _ => (-1.0, -1.0)
-      }
-      Seq(r.dataset, r.query, r.approach, r.status,
-        if (r.status == "ok") r.wallMs.toString else "-",
-        if (r.status == "ok") Tables.fmt(r.weighted) else "-",
-        if (rw > 0) Tables.fmt(rw) else "-",
-        if (rp > 0) Tables.fmt(rp) else "-")
-    }
-    Tables.render(
+  def table(rows: Seq[RunRow]): Seq[String] =
+    Harness.vsComTable(
       "T3 / Fig 12 - CE-benchmark substitute, six approaches (ratios vs COM)",
-      Seq("dataset", "query", "approach", "status", "wall ms",
-          "weighted probes", "wall/COM", "probes/COM"),
-      out)
-  }
+      Seq("dataset", "query", "approach"), rows)
 }

@@ -10,13 +10,6 @@ import repro.core._
   */
 object T4Simulation {
 
-  val shapes: Seq[(String, (Double, Double) => JoinTree)] = Seq(
-    "star7"   -> ((m, fo) => JoinTree.star(7, Seq.fill(6)(EdgeStats(m, fo)))),
-    "path11"  -> ((m, fo) => JoinTree.centeredPath(11, Seq.fill(10)(EdgeStats(m, fo)))),
-    "snow3-2" -> ((m, fo) => JoinTree.snowflake(3, 2, Seq.fill(9)(EdgeStats(m, fo)))),
-    "snow5-1" -> ((m, fo) => JoinTree.snowflake(5, 1, Seq.fill(10)(EdgeStats(m, fo)))),
-  )
-
   val approaches: Seq[Approach] =
     Seq(Approach.BvpStd, Approach.SjStd, Approach.Com, Approach.BvpCom, Approach.SjCom)
 
@@ -33,20 +26,17 @@ object T4Simulation {
     case _               => Optimizer.greedy(tree, Optimizer.Heuristic.RankOrdering)
   }
 
-  def run(w: Weights = Weights(), driver: Double = 1.0e5): Seq[Cell] =
+  def run(): Seq[Cell] =
     for {
-      (shape, mk) <- shapes
-      fo          <- Seq(2.0, 5.0)
-      m           <- (1 to 9).map(_ / 10.0)
+      shape <- Shape.paper
+      fo    <- Seq(2.0, 5.0)
+      m     <- (1 to 9).map(_ / 10.0)
     } yield {
-      val tree  = {
-        val t0 = mk(m, fo)
-        new JoinTree(t0.parent, t0.stats, t0.probeCost, driver)
-      }
+      val tree  = shape(Seq.fill(shape.edges)(EdgeStats(m, fo)), 1.0e5)
       val costs = approaches.map { a =>
-        a.name -> CostModel.cost(tree, orderFor(tree, a), a).total(w)
+        a.name -> CostModel.cost(tree, orderFor(tree, a), a).total(Weights())
       }.toMap
-      Cell(shape, fo, m, costs)
+      Cell(shape.name, fo, m, costs)
     }
 
   def table(cells: Seq[Cell]): Seq[String] = {

@@ -8,35 +8,27 @@ import repro.engine.Engine
 
 /** T5 (paper Fig 14, §5.5): does the cost model track real execution?
   * For several query shapes we draw random valid join orders, predict the
-  * weighted cost from the *measured* per-edge statistics, execute, and
-  * report the correlation between (a) predicted cost and measured weighted
-  * probes, and (b) predicted cost and wall-clock time.
+  * weighted cost of COM and STD from the *measured* per-edge statistics,
+  * execute, and report the correlation between (a) predicted cost and
+  * measured weighted probes, and (b) predicted cost and wall-clock time.
   */
 object T5CostValidation {
 
   final case class Point(query: String, approach: String, predicted: Double,
                          measured: Double, wallMs: Long)
 
-  val queries: Seq[(String, Seq[EdgeStats] => JoinTree, Int)] = Seq(
-    ("star5",   (st: Seq[EdgeStats]) => JoinTree.star(5, st), 4),
-    ("path5",   (st: Seq[EdgeStats]) => JoinTree.centeredPath(5, st), 4),
-    ("snow2-2", (st: Seq[EdgeStats]) => JoinTree.snowflake(2, 2, st), 6),
-  )
+  val queries: Seq[Shape] = Seq(Shape.star(5), Shape.path(5), Shape.snow(2, 2))
+  val approaches: Seq[Approach] = Seq(Approach.Com, Approach.Std)
+  val Driver  = 6000.0
+  val NOrders = 6
+  val Seed    = 17L
 
-  def run(spark: SparkSession, driverN: Long = 10000, nOrders: Int = 20,
-          approaches: Seq[Approach] = Seq(Approach.Com, Approach.Std),
-          seed: Long = 17L): Seq[Point] = {
-    val w   = Weights()
-    val pts = scala.collection.mutable.ListBuffer.empty[Point]
-    for (((name, mk, nEdges), qi) <- queries.zipWithIndex) {
-      val rng = new Random(seed + qi)
-      val st = Seq.fill(nEdges)(EdgeStats(
-        0.1 + rng.nextDouble() * 0.5, 1.0 + rng.nextDouble() * 4.0))
-      val t0   = mk(st)
-      val tree = new JoinTree(t0.parent, t0.stats, t0.probeCost, driverN.toDouble)
-      val q    = TreeData.generate(spark, tree, seed + 100 + qi)
-      q.rels.foreach(r => { r.persist(); r.count() })
-      try {
+  def run(spark: SparkSession): Seq[Point] = {
+    val w = Weights()
+    queries.zipWithIndex.flatMap { case (shape, qi) =>
+      val rng  = new Random(Seed + qi)
+      val tree = shape(Harness.drawStats(shape.edges, 0.1, 0.5, 1.0, 4.0, rng), Driver)
+      Harness.withCachedQuery(spark, tree, Seed + 100 + qi) { q =>
         // Predict with *measured* statistics so generator noise does not
         // blur the model-vs-execution comparison.
         val measured = (1 until tree.n).map(i => TreeData.measuredStats(q, i))
@@ -44,15 +36,14 @@ object T5CostValidation {
           tree.parent,
           (EdgeStats(1, 1) +: measured.map { case (m, fo) => EdgeStats(m, math.max(fo, 1.0)) }).toArray,
           tree.probeCost, q.rels(0).count().toDouble)
-        val orders = Seq.fill(nOrders)(Optimizer.randomOrder(tree, rng)).distinct
-        for (order <- orders; a <- approaches) {
+        val orders = Seq.fill(NOrders)(Optimizer.randomOrder(tree, rng)).distinct
+        for (order <- orders; a <- approaches) yield {
           val pred = CostModel.cost(mTree, order, a, flatOutput = true).total(w)
           val res  = Engine.run(q, order, a, counting = true, flatOutput = true)
-          pts += Point(name, a.name, pred, res.log.weighted(w), res.log.wallMs)
+          Point(shape.name, a.name, pred, res.log.weighted(w), res.log.wallMs)
         }
-      } finally q.rels.foreach(_.unpersist(blocking = false))
+      }
     }
-    pts.toList
   }
 
   def table(pts: Seq[Point]): Seq[String] = {

@@ -3,7 +3,6 @@ package repro.exp
 import org.apache.spark.sql.SparkSession
 import scala.util.Random
 import repro.core._
-import repro.data.TreeData
 import repro.engine.Engine
 
 /** T6 (paper Fig 15, §5.6): robustness to the join order. For each query we
@@ -18,37 +17,29 @@ object T6Robustness {
   final case class Row(query: String, approach: String, normalized: Seq[Double],
                        wallSpread: Double)
 
-  val queries: Seq[(String, Seq[EdgeStats] => JoinTree, Int)] = Seq(
-    ("star6",   (st: Seq[EdgeStats]) => JoinTree.star(6, st), 5),
-    ("snow2-2", (st: Seq[EdgeStats]) => JoinTree.snowflake(2, 2, st), 6),
-  )
+  val queries: Seq[Shape] = Seq(Shape.star(6), Shape.snow(2, 2))
+  val Driver  = 2000.0
+  val NOrders = 4
+  val Seed    = 29L
 
-  def run(spark: SparkSession, driverN: Long = 5000, nOrders: Int = 6,
-          seed: Long = 29L): Seq[Row] = {
-    val w    = Weights()
-    val rows = scala.collection.mutable.ListBuffer.empty[Row]
-    for (((name, mk, nEdges), qi) <- queries.zipWithIndex) {
-      val rng = new Random(seed + qi)
-      val st = Seq.fill(nEdges)(EdgeStats(
-        0.2 + rng.nextDouble() * 0.4, 1.0 + rng.nextDouble() * 3.0))
-      val t0   = mk(st)
-      val tree = new JoinTree(t0.parent, t0.stats, t0.probeCost, driverN.toDouble)
-      val q    = TreeData.generate(spark, tree, seed + 100 + qi)
-      q.rels.foreach(r => { r.persist(); r.count() })
-      try {
+  def run(spark: SparkSession): Seq[Row] = {
+    val w = Weights()
+    queries.zipWithIndex.flatMap { case (shape, qi) =>
+      val rng  = new Random(Seed + qi)
+      val tree = shape(Harness.drawStats(shape.edges, 0.2, 0.4, 1.0, 3.0, rng), Driver)
+      Harness.withCachedQuery(spark, tree, Seed + 100 + qi) { q =>
         val orders = Iterator.continually(Optimizer.randomOrder(tree, rng))
-          .distinct.take(nOrders).toList
-        for (a <- Approach.all) {
-          val res = orders.map(o => Engine.run(q, o, a, counting = true))
+          .distinct.take(NOrders).toList
+        Approach.all.map { a =>
+          val res    = orders.map(o => Engine.run(q, o, a, counting = true))
           val probes = res.map(_.log.weighted(w))
           val walls  = res.map(_.log.wallMs.toDouble)
           val maxP   = math.max(probes.max, 1e-9)
-          rows += Row(name, a.name, probes.map(_ / maxP),
+          Row(shape.name, a.name, probes.map(_ / maxP),
             if (walls.max > 0) walls.min / walls.max else 1.0)
         }
-      } finally q.rels.foreach(_.unpersist(blocking = false))
+      }
     }
-    rows.toList
   }
 
   def table(rows: Seq[Row]): Seq[String] =

@@ -16,24 +16,27 @@ object T7Estimation {
   final case class Obs(trueM: Double, estimator: String,
                        qErrM: Double, qErrFo: Double)
 
-  def run(spark: SparkSession, nR: Long = 20000, seed: Long = 23L,
-          sampleSizes: Seq[Int] = Seq(100, 1000, 5000)): Seq[Obs] = {
+  val NR          = 20000L
+  val Seed        = 23L
+  val SampleSizes = Seq(100, 1000, 5000)
+
+  def run(spark: SparkSession): Seq[Obs] = {
     val configs = for {
       overlap <- Seq(0.02, 0.1, 0.3, 0.7, 1.0)
       alpha   <- Seq(None, Some(0.8))
-      nS      <- Seq(nR / 2, nR * 2)
+      nS      <- Seq(NR / 2, NR * 2)
     } yield (overlap, alpha, nS)
 
     configs.zipWithIndex.flatMap { case ((overlap, alpha, nS), i) =>
-      val (r, s) = PairData.pair(spark, nR, nS, overlap, alpha, seed + i)
+      val (r, s) = PairData.pair(spark, NR, nS, overlap, alpha, Seed + i)
       val rc = r.persist(); val sc = s.persist()
       try {
         val t     = Estimation.trueStats(rc, "a", sc, "a")
         val naive = Estimation.naive(rc, "a", sc, "a")
         val base  = Obs(t.m, "naive",
           Estimation.qError(naive.m, t.m), Estimation.qError(naive.fo, t.fo))
-        val samples = sampleSizes.map { k =>
-          val e = Estimation.sampled(rc, "a", sc, "a", k, seed + 31 * i + k)
+        val samples = SampleSizes.map { k =>
+          val e = Estimation.sampled(rc, "a", sc, "a", k, Seed + 31 * i + k)
           Obs(t.m, s"sample-$k",
             Estimation.qError(e.m, t.m), Estimation.qError(e.fo, t.fo))
         }

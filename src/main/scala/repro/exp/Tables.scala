@@ -2,7 +2,7 @@ package repro.exp
 
 /** Tiny fixed-width table formatter + order statistics for the experiment
   * harnesses. Every experiment renders its results through this so the
-  * bench output and the jobs output look identical.
+  * bench output and the `Run` output look identical.
   */
 object Tables {
 

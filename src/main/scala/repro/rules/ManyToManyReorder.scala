@@ -12,8 +12,9 @@ import repro.core.{EdgeStats, JoinTree, Optimizer}
   * Detects a left-deep chain of inner equi-joins, extracts the rooted join
   * tree (driver = the chain's leftmost leaf), attaches the caller-supplied
   * match-probability/fanout statistics, runs the paper's join-order search
-  * (exhaustive Algorithm 1 for small queries, survival-probability greedy
-  * otherwise — §3.4), and rebuilds the chain in the chosen order.
+  * (exhaustive Algorithm 1 for chains of up to 12 relations,
+  * survival-probability greedy beyond — §3.4), and rebuilds the chain in
+  * the chosen order.
   *
   * Statistics are keyed by the equi-join column-name pair
   * (parent column, child column) — in this repository every relation's
@@ -24,10 +25,10 @@ import repro.core.{EdgeStats, JoinTree, Optimizer}
   * Inject via `spark.experimental.extraOptimizations`. A rebuilt chain is
   * tagged so the fixpoint driver does not re-enter it.
   */
-final case class ManyToManyReorder(
-    statsOf: (String, String) => Option[EdgeStats],
-    exhaustiveUpTo: Int = 12,
-) extends Rule[LogicalPlan] {
+final case class ManyToManyReorder(statsOf: (String, String) => Option[EdgeStats])
+    extends Rule[LogicalPlan] {
+
+  private val ExhaustiveUpTo = 12
 
   private val reorderedTag = TreeNodeTag[Boolean]("repro.m2mReordered")
 
@@ -107,7 +108,7 @@ final case class ManyToManyReorder(
     }
     val tree = JoinTree(stats, driverSize = 1.0)
     val order =
-      if (n <= exhaustiveUpTo) Optimizer.exhaustiveCom(tree)._1
+      if (n <= ExhaustiveUpTo) Optimizer.exhaustiveCom(tree)._1
       else Optimizer.greedy(tree, Optimizer.Heuristic.SurvivalProb)
 
     // Already in the chosen order? Leave the plan untouched (fixpoint).

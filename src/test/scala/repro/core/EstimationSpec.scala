@@ -5,11 +5,6 @@ import repro.data.PairData
 
 class EstimationSpec extends SparkSpec {
 
-  override def beforeAll(): Unit = {
-    super.beforeAll()
-    spark.conf.set("spark.sql.shuffle.partitions", "8")
-  }
-
   test("qError is symmetric and 1 on a perfect estimate") {
     assert(Estimation.qError(2.0, 2.0) == 1.0)
     assert(Estimation.qError(4.0, 2.0) == 2.0)

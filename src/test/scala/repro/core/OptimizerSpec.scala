@@ -14,7 +14,7 @@ class OptimizerSpec extends AnyFunSuite {
       val n    = 4 + rng.nextInt(4)
       val tree = JoinTree.random(n, (0.05, 0.9), (1, 8), rng, driverSize = 100)
       val (dpOrder, dpCost) = Optimizer.exhaustiveCom(tree)
-      val (_, bfCost)       = Optimizer.bruteForce(tree, comCost(tree))
+      val (_, bfCost)       = BruteForce(tree, comCost(tree))
       assert(math.abs(dpCost - bfCost) <= 1e-9 * math.max(1.0, bfCost), s"tree $i")
       assert(math.abs(comCost(tree)(dpOrder) - dpCost) <= 1e-9 * math.max(1.0, dpCost))
     }
@@ -32,7 +32,7 @@ class OptimizerSpec extends AnyFunSuite {
       val n    = 4 + rng.nextInt(4)
       val tree = JoinTree.random(n, (0.05, 0.9), (1, 8), rng, driverSize = 100)
       val (_, dpCost) = Optimizer.exhaustiveBvpCom(tree, eps, w)
-      val (_, bfCost) = Optimizer.bruteForce(tree, orderCost(tree))
+      val (_, bfCost) = BruteForce(tree, orderCost(tree))
       assert(math.abs(dpCost - bfCost) <= 1e-6 * math.max(1.0, bfCost), s"tree $i")
     }
   }

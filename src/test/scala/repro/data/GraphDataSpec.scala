@@ -7,11 +7,6 @@ import repro.exp.T3Ce
 
 class GraphDataSpec extends SparkSpec {
 
-  override def beforeAll(): Unit = {
-    super.beforeAll()
-    spark.conf.set("spark.sql.shuffle.partitions", "8")
-  }
-
   private lazy val cfg = GraphData.Config("tiny", vertices = 60, edges = 300, alpha = 1.0)
   private lazy val e   = GraphData.edges(spark, cfg, seed = 2L)
 

@@ -6,11 +6,6 @@ import repro.core.{EdgeStats, JoinTree}
 
 class TreeDataSpec extends SparkSpec {
 
-  override def beforeAll(): Unit = {
-    super.beforeAll()
-    spark.conf.set("spark.sql.shuffle.partitions", "8")
-  }
-
   private lazy val tree = JoinTree(
     Seq((0, 0.5, 2.0), (0, 0.3, 3.0), (1, 0.6, 1.0)), driverSize = 4000)
   private lazy val q = TreeData.generate(spark, tree, seed = 1L)

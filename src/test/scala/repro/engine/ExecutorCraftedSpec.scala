@@ -13,11 +13,6 @@ import repro.data.TreeQuery
   */
 class ExecutorCraftedSpec extends SparkSpec {
 
-  override def beforeAll(): Unit = {
-    super.beforeAll()
-    spark.conf.set("spark.sql.shuffle.partitions", "4")
-  }
-
   private lazy val q: TreeQuery = {
     import spark.implicits._
     val r0 = Seq(1L, 2L, 3L, 4L).toDF("k0")
@@ -87,9 +82,9 @@ class ExecutorCraftedSpec extends SparkSpec {
 
   test("all six approaches return exactly the same flat result") {
     import repro.core.Approach
-    val expected = StdExecutor.run(q, Seq(1, 2, 3)).flat.get.collect().map(_.toSeq).toSet
+    val expected = bag(StdExecutor.run(q, Seq(1, 2, 3)).flat.get)
     for (a <- Approach.all) {
-      val got = Engine.run(q, Seq(1, 2, 3), a).flat.get.collect().map(_.toSeq).toSet
+      val got = bag(Engine.run(q, Seq(1, 2, 3), a).flat.get)
       assert(got == expected, a.name)
     }
   }

@@ -12,11 +12,6 @@ import repro.data.{GraphData, TreeData}
   */
 class ExecutorGeneratedSpec extends SparkSpec {
 
-  override def beforeAll(): Unit = {
-    super.beforeAll()
-    spark.conf.set("spark.sql.shuffle.partitions", "8")
-  }
-
   private def measuredTree(q: repro.data.TreeQuery): JoinTree = {
     val stats = (1 until q.tree.n).map { i =>
       val (m, fo) = TreeData.measuredStats(q, i)
@@ -32,9 +27,9 @@ class ExecutorGeneratedSpec extends SparkSpec {
       driverSize = 800)
     val q     = TreeData.generate(spark, tree, seed = 21L)
     val order = Seq(1, 2, 3, 4)
-    val expected = StdExecutor.run(q, order).flat.get.collect().map(_.toSeq).toSet
+    val expected = bag(StdExecutor.run(q, order).flat.get)
     for (a <- Approach.all) {
-      val got = Engine.run(q, order, a).flat.get.collect().map(_.toSeq).toSet
+      val got = bag(Engine.run(q, order, a).flat.get)
       assert(got == expected, a.name)
     }
     repro.Oracle.assertEquivalent(StdExecutor.run(q, order).flat.get,
@@ -124,8 +119,8 @@ class ExecutorGeneratedSpec extends SparkSpec {
     val std = StdExecutor.run(q, Seq(1, 2))
     val com = ComExecutor.run(q, Seq(1, 2))
     assert(std.log.outRows == com.log.outRows)
-    val a = std.flat.get.collect().map(_.toSeq).toSet
-    val b = com.flat.get.collect().map(_.toSeq).toSet
+    val a = bag(std.flat.get)
+    val b = bag(com.flat.get)
     assert(a == b)
   }
 

@@ -2,8 +2,8 @@ package repro.exp
 
 import org.scalatest.funsuite.AnyFunSuite
 
-/** Fast sanity checks of the pure-math experiment harnesses (the full runs
-  * live in bench/). */
+/** Fast sanity checks of the pure-math experiment harnesses and of the
+  * experiment runner (the full runs live in bench/). */
 class ExperimentSmokeSpec extends AnyFunSuite {
 
   test("T1 harness: survival heuristic is the best of the three (small run)") {
@@ -67,6 +67,24 @@ class ExperimentSmokeSpec extends AnyFunSuite {
     val cells = T8RobustSim.run(nJoins = 8, trials = 50, seed = 9L)
     val agg = Tables.mean(cells.map(c => c.comMeanPct - c.stdMeanPct))
     assert(agg <= 1.0, s"aggregate mean difference $agg")
+  }
+
+  test("the runner's registry lists exactly T1 to T8, in order") {
+    assert(Run.registry.keys.toSeq == (1 to 8).map(i => s"T$i"))
+  }
+
+  test("the runner rejects an unknown table and lists the valid names") {
+    val e = intercept[IllegalArgumentException](Run.select(Seq("T9")))
+    assert(e.getMessage.contains("T9"))
+    for (name <- Run.registry.keys) assert(e.getMessage.contains(name), name)
+  }
+
+  test("Run T4 prints T4Simulation.table(T4Simulation.run()) without Spark") {
+    val out = new java.io.ByteArrayOutputStream
+    Console.withOut(out)(Run.main(Array("T4")))
+    val expected = T4Simulation.table(T4Simulation.run()).map(_ + System.lineSeparator).mkString
+    assert(out.toString("UTF-8") == expected)
+    assert(Run.registry("T4")(() => fail("T4 must not start Spark")).nonEmpty)
   }
 
   test("Tables.percentile and render behave") {

@@ -14,11 +14,6 @@ import repro.data.TreeData
   */
 class RulesSpec extends SparkSpec {
 
-  override def beforeAll(): Unit = {
-    super.beforeAll()
-    spark.conf.set("spark.sql.shuffle.partitions", "4")
-  }
-
   override def afterAll(): Unit = {
     spark.experimental.extraOptimizations = Nil
     super.afterAll()
