@@ -17,7 +17,8 @@ import repro.core.JoinTree
   *  - a child row's own key is `parentKey·16 + copyIndex`, which keeps key
   *    columns row-unique and fully deterministic without shuffles — the
   *    property the paper's cost formulas assume (a child row matches
-  *    exactly one parent row). Requires fo < 16 and bounded depth.
+  *    exactly one parent row). Requires fo < 16 and keys that fit a
+  *    `Long`: (N + 1)·16^depth ≤ 2⁶³.
   *
   * Everything is expressed in the DataFrame API; no RDD-level code.
   */
@@ -60,6 +61,9 @@ object TreeData {
   def generate(spark: SparkSession, tree: JoinTree, seed: Long = 42L): TreeQuery = {
     val n = tree.n
     val driverN = math.max(1L, math.round(tree.driverSize))
+    val depth   = (0 until n).map(tree.depth).max
+    require(BigInt(driverN + 1) * BigInt(16).pow(depth) <= BigInt(2).pow(63),
+      s"keys overflow Long: driver size $driverN at depth $depth, (N + 1)·16^depth > 2^63")
     val rels = new Array[DataFrame](n)
     rels(0) = spark.range(1, driverN + 1).select(
       col("id").as("k0"),

@@ -13,15 +13,15 @@ final case class ExecResult(flat: Option[DataFrame], log: ProbeLog)
 /** Shared helpers for the executors. */
 private[engine] object ExecUtil {
 
-  /** Distinct join-key set of relation l — the exact-filter analog of the
-    * paper's bitvector (ε = 0); see DESIGN.md §3.
+  /** Rows of `df` whose `onCol` occurs in column `keyCol` of `keys`: a
+    * plain left-semi join, the exact-filter analog of the paper's bitvector
+    * (ε = 0); see DESIGN.md §3. The key side is projected but not
+    * deduplicated, since a left-semi join emits each left row at most once.
     */
-  def filterSet(q: TreeQuery, l: Int): DataFrame =
-    q.rels(l).select(col(q.childCol(l)).as("v")).distinct()
-
-  /** Semi-join `df` against `keys`(column "v") on `df.onCol`. */
-  def semi(df: DataFrame, onCol: String, keys: DataFrame): DataFrame =
-    df.join(keys, col(onCol) === keys.col("v"), "left_semi")
+  def keep(df: DataFrame, onCol: String, keys: DataFrame, keyCol: String): DataFrame = {
+    val v = keys.select(col(keyCol).as("v"))
+    df.join(v, col(onCol) === v.col("v"), "left_semi")
+  }
 
   def timed[A](body: => A): (A, Long) = {
     val t0 = System.nanoTime()
@@ -52,7 +52,7 @@ object StdExecutor {
       def applyBvs(of: Int): Unit =
         for (c <- q.tree.children(of)) {
           if (counting) bv += cur.count()
-          cur = ExecUtil.semi(cur, q.parentCol(c), ExecUtil.filterSet(q, c))
+          cur = ExecUtil.keep(cur, q.parentCol(c), q.rels(c), q.childCol(c))
         }
       if (bvp) applyBvs(0)
       for (l <- order) {
@@ -74,7 +74,7 @@ object StdExecutor {
   *
   * Probes into relation l = alive entries at l's parent level, where an
   * entry is alive iff (a) its own evaluated subtree still has a full match
-  * chain (bottom-up `survKeys`) and (b) its ancestors along the path are
+  * chain (bottom-up `survivors`) and (b) its ancestors along the path are
   * alive w.r.t. their other evaluated branches (top-down walk). This is the
   * executable mirror of Eq. (1). With `bvp`, every `A(i)` is additionally
   * filtered at creation time by the key sets of i's future children —
@@ -98,19 +98,17 @@ object ComExecutor {
       var df = df0
       for (c <- t.children(i)) {
         if (counting) bv += df.count()
-        df = ExecUtil.semi(df, q.parentCol(c), ExecUtil.filterSet(q, c))
+        df = ExecUtil.keep(df, q.parentCol(c), q.rels(c), q.childCol(c))
       }
       df
     }
 
-    /** Distinct childCol values of i's entries that survive i's evaluated
-      * subtree (bottom-up survival).
-      */
-    def survKeys(i: Int): DataFrame = {
+    /** i's entries that survive i's evaluated subtree (bottom-up survival). */
+    def survivors(i: Int): DataFrame = {
       var b = A(i)
       for (c <- t.children(i) if eval(c))
-        b = ExecUtil.semi(b, q.parentCol(c), survKeys(c))
-      b.select(col(q.childCol(i)).as("v")).distinct()
+        b = ExecUtil.keep(b, q.parentCol(c), survivors(c), q.childCol(c))
+      b
     }
 
     /** Alive entries at node p's level: top-down walk along root → p,
@@ -124,10 +122,9 @@ object ComExecutor {
         val onPath = if (idx + 1 < path.length) path(idx + 1) else -1
         cur =
           if (a == 0) A(0)
-          else ExecUtil.semi(A(a), q.childCol(a),
-            cur.select(col(q.parentCol(a)).as("v")).distinct())
+          else ExecUtil.keep(A(a), q.childCol(a), cur, q.parentCol(a))
         for (c <- t.children(a) if eval(c) && c != onPath)
-          cur = ExecUtil.semi(cur, q.parentCol(c), survKeys(c))
+          cur = ExecUtil.keep(cur, q.parentCol(c), survivors(c), q.childCol(c))
       }
       cur
     }
@@ -142,8 +139,7 @@ object ComExecutor {
       for (l <- order) {
         val alive = aliveEntries(t.parent(l))
         if (counting) ht += l -> alive.count()
-        val probeKeys = alive.select(col(q.parentCol(l)).as("v")).distinct()
-        var al = q.rels(l).join(probeKeys, col(q.childCol(l)) === col("v"), "left_semi")
+        var al = ExecUtil.keep(q.rels(l), q.childCol(l), alive, q.parentCol(l))
         eval += l
         if (bvp) al = applyChildBvs(l, al)
         A(l) = al.localCheckpoint()
@@ -191,8 +187,7 @@ object SjExecutor {
         }
         for (c <- kids) {
           if (counting) semiCnt += r.count()
-          r = ExecUtil.semi(r, q.parentCol(c),
-            reduced(c).select(col(q.childCol(c)).as("v")).distinct())
+          r = ExecUtil.keep(r, q.parentCol(c), reduced(c), q.childCol(c))
         }
         // Truncate lineage: phase 2 re-derives plans over these reductions.
         if (kids.nonEmpty) r = r.localCheckpoint()

@@ -1,8 +1,14 @@
 package repro
 
+import java.util.concurrent.{ConcurrentHashMap, ConcurrentLinkedQueue}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd}
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.catalyst.plans.logical.LogicalPlan
+import org.apache.spark.sql.execution.QueryExecution
+import org.apache.spark.sql.util.QueryExecutionListener
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
+import scala.jdk.CollectionConverters._
 
 /** Base for every test: one local-mode SparkSession for the whole run,
   * configured by `repro.Spark` exactly as the experiment runner's.
@@ -19,6 +25,48 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
     */
   def bag(df: DataFrame): Map[Seq[Any], Int] =
     df.collect().toSeq.map(_.toSeq).groupMapReduce(identity)(_ => 1)(_ + _)
+
+  /** Runs `body` and returns its value with the optimized plan of every
+    * Spark SQL action it ran (count, collect, localCheckpoint, …), in
+    * order.
+    */
+  def recordPlans[A](body: => A): (A, Seq[LogicalPlan]) = {
+    val plans = new ConcurrentLinkedQueue[LogicalPlan]
+    val listener = new QueryExecutionListener {
+      def onSuccess(funcName: String, qe: QueryExecution, durationNs: Long): Unit =
+        plans.add(qe.optimizedPlan)
+      def onFailure(funcName: String, qe: QueryExecution, e: Exception): Unit = ()
+    }
+    spark.listenerManager.register(listener)
+    try {
+      val a = body
+      drainListenerBus()
+      (a, plans.asScala.toSeq)
+    } finally spark.listenerManager.unregister(listener)
+  }
+
+  /** Blocks until the listener bus has delivered every event posted so far.
+    * Query-execution events reach their listeners asynchronously, through
+    * the bus's shared queue; a marker job's end event, delivered on that
+    * queue after them, shows they have all been handled.
+    */
+  private def drainListenerBus(): Unit = {
+    val sc    = spark.sparkContext
+    val ended = ConcurrentHashMap.newKeySet[Int]()
+    val marker = new SparkListener {
+      override def onJobEnd(e: SparkListenerJobEnd): Unit = ended.add(e.jobId)
+    }
+    sc.addSparkListener(marker)
+    try {
+      val job = sc.parallelize(Seq(0), 1).countAsync()
+      job.get()
+      val deadline = System.nanoTime() + 60L * 1000000000L
+      while (!ended.contains(job.jobIds.head)) {
+        assert(System.nanoTime() < deadline, "listener bus did not drain in 60 s")
+        Thread.sleep(5)
+      }
+    } finally sc.removeSparkListener(marker)
+  }
 }
 
 object SparkSpec {

@@ -94,6 +94,26 @@ class TreeDataSpec extends SparkSpec {
     intercept[IllegalArgumentException](TreeData.generate(spark, t).rels(1).count())
   }
 
+  test("keys that would overflow Long are rejected before Spark is touched") {
+    // A chain of `depth` edges below the driver; keys reach (N + 1)·16^depth.
+    def chain(depth: Int, driver: Int) =
+      JoinTree(Seq.tabulate(depth)(i => (i, 0.5, 1.0)), driverSize = driver)
+    // (7 + 1)·16^15 = 2^63 fits; (8 + 1)·16^15 does not. A null session
+    // shows the check runs before any Spark call.
+    assert(TreeData.generate(spark, chain(15, 7)).rels.length == 16)
+    val e = intercept[IllegalArgumentException](TreeData.generate(null, chain(15, 8)))
+    assert(e.getMessage.contains("driver size 8") && e.getMessage.contains("depth 15"),
+      e.getMessage)
+  }
+
+  test("every shape in use passes the key-overflow check") {
+    import repro.exp.Shape
+    for (s <- Shape.paper :+ Shape.path(4)) {
+      val t = s(Seq.fill(s.edges)(EdgeStats(0.5, 2.0)), 1e6)
+      assert(TreeData.generate(spark, t).rels.length == s.edges + 1, s.name)
+    }
+  }
+
   test("flatSql and oracleTables agree with a direct Spark join") {
     val flat = q.rels(0)
       .join(q.rels(1), col("k0") === col("fk1"))

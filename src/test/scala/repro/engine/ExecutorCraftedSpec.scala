@@ -101,6 +101,23 @@ class ExecutorCraftedSpec extends SparkSpec {
     assert(r.log.outRows == 4L)
   }
 
+  test("key-set filters run no grouping aggregate, counted or not") {
+    import org.apache.spark.sql.catalyst.plans.LeftSemi
+    import org.apache.spark.sql.catalyst.plans.logical.{Aggregate, Join}
+    import repro.core.Approach
+    for (a <- Approach.all; counting <- Seq(true, false)) {
+      val (r, plans) = recordPlans(Engine.run(q, Seq(1, 2, 3), a, counting))
+      assert(r.log.outRows == 1L, s"${a.name} counting=$counting")
+      // Every approach but STD filters by key sets; the recorder must see them.
+      val semis = plans.flatMap(_.collect { case j: Join if j.joinType == LeftSemi => j })
+      assert(a == Approach.Std || semis.nonEmpty, s"${a.name} counting=$counting: no semi-join recorded")
+      val grouped = plans.flatMap(_.collectWithSubqueries {
+        case g: Aggregate if g.groupingExpressions.nonEmpty => g
+      })
+      assert(grouped.isEmpty, s"${a.name} counting=$counting: ${grouped.mkString("\n")}")
+    }
+  }
+
   test("counting=false skips probe accounting but still answers") {
     val r = ComExecutor.run(q, Seq(1, 2, 3), counting = false)
     assert(r.log.htProbes.isEmpty)
