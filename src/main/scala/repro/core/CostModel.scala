@@ -89,6 +89,17 @@ object CostModel {
     PlanCost(probes, 0, 0, if (flatOutput) tree.expectedOutput else 0.0)
   }
 
+  /** One bitvector sweep (§3.5): the bitvectors of `of`'s children, applied
+    * in ascending node order to `count` rows. Each is charged the rows it
+    * sees (`charge`) and passes a fraction min(1, m + ε) of them. Returns
+    * the rows left.
+    */
+  def bvSweep(tree: JoinTree, of: Int, count: Double, eps: Double)(charge: Double => Unit): Double = {
+    var t = count
+    for (c <- tree.children(of)) { charge(t); t *= math.min(1.0, tree.stats(c).m + eps) }
+    t
+  }
+
   /** BVP+STD (§3.5): a stateful sweep over the flat stream. Bitvectors of a
     * relation become available the moment its parent is joined (for
     * children of the driver: before any join) and are applied immediately,
@@ -98,20 +109,17 @@ object CostModel {
     */
   def bvpStd(tree: JoinTree, order: Seq[Int], eps: Double = DefaultEps): PlanCost = {
     validateOrder(tree, order)
-    var t   = tree.driverSize
     var bvP = 0.0
     var htP = 0.0
     var gen = 0.0
-    def applyBvs(of: Int): Unit =
-      for (c <- tree.children(of)) { bvP += t; t *= math.min(1.0, tree.stats(c).m + eps) }
-    applyBvs(0)
+    var t   = bvSweep(tree, 0, tree.driverSize, eps)(bvP += _)
     for (l <- order) {
       htP += tree.probeCost(l) * t
       val st   = tree.stats(l)
       val pass = math.min(1.0, st.m + eps)
       t *= (st.m / pass) * st.fo
       gen += t
-      applyBvs(l)
+      t = bvSweep(tree, l, t, eps)(bvP += _)
     }
     PlanCost(htP, bvP, 0, gen)
   }
@@ -129,18 +137,13 @@ object CostModel {
     var bvP    = 0.0
     // Bitvectors of the driver's children: applied to the N driver tuples
     // up front, sequentially.
-    var t = tree.driverSize
-    for (c <- tree.children(0)) { bvP += t; t *= math.min(1.0, tree.stats(c).m + eps) }
+    bvSweep(tree, 0, tree.driverSize, eps)(bvP += _)
     for (l <- order) {
       htP += tree.probeCost(l) * Survival.probesCom(tree, eval, l, e)
       eval |= bit(l)
       // BVs of l's children become available now; they filter the entries
       // at l's level.
-      var entries = Survival.entriesAfterJoin(tree, eval, l, e)
-      for (c <- tree.children(l)) {
-        bvP += entries
-        entries *= math.min(1.0, tree.stats(c).m + eps)
-      }
+      bvSweep(tree, l, Survival.entriesAfterJoin(tree, eval, l, e), eps)(bvP += _)
     }
     PlanCost(htP, bvP, 0, if (flatOutput) tree.expectedOutput else 0.0)
   }

@@ -9,7 +9,8 @@ import scala.util.Random
   */
 final case class EdgeStats(m: Double, fo: Double) {
   require(m >= 0.0 && m <= 1.0, s"match probability out of range: $m")
-  require(fo >= 0.0, s"fanout must be non-negative: $fo")
+  // A matching tuple has at least one match: fo < 1 is outside the model.
+  require(fo >= 1.0, s"fanout must be at least 1: $fo")
 
   /** Classical selectivity of the join operator: s = m × fo (§3.1). */
   def s: Double = m * fo

@@ -28,11 +28,8 @@ object Optimizer {
     (mask, l) => {
       val e  = Some(eps)
       var c  = tree.probeCost(l) * Survival.probesCom(tree, mask, l, e)
-      var entries = Survival.entriesAfterJoin(tree, mask | bit(l), l, e)
-      for (ch <- tree.children(l)) {
-        c += w.bv * entries
-        entries *= math.min(1.0, tree.stats(ch).m + eps)
-      }
+      CostModel.bvSweep(tree, l, Survival.entriesAfterJoin(tree, mask | bit(l), l, e), eps)(
+        entries => c += w.bv * entries)
       c
     }
 
@@ -123,9 +120,8 @@ object Optimizer {
   def exhaustiveBvpCom(tree: JoinTree, eps: Double = CostModel.DefaultEps,
                        w: Weights = Weights()): (List[Int], Double) = {
     val (o, c) = exhaustive(tree, stepCostBvpCom(tree, eps, w))
-    var t      = tree.driverSize
     var bvInit = 0.0
-    for (ch <- tree.children(0)) { bvInit += t; t *= math.min(1.0, tree.stats(ch).m + eps) }
+    CostModel.bvSweep(tree, 0, tree.driverSize, eps)(bvInit += _)
     (o, c + w.bv * bvInit)
   }
 

@@ -19,12 +19,14 @@ object SemiJoinModel {
 
   /** Theorem 3.4: adjusted fanout fo′ = fo × ratio / (1 − (1 − ratio)^fo).
     * Note m′ × fo′ = ratio × m × fo, matching classical selectivity scaling.
+    * Never below 1: with fo near 1 and a tiny ratio, rounding alone can
+    * give a value just under it.
     */
   def adjustedFo(m: Double, fo: Double, ratio: Double): Double =
     if (ratio >= 1.0) fo
     else {
       val denom = 1.0 - math.pow(1.0 - ratio, fo)
-      if (denom <= 0.0) 1.0 else fo * ratio / denom
+      if (denom <= 0.0) 1.0 else math.max(1.0, fo * ratio / denom)
     }
 
   /** Per-node reduction ratio after phase 1: red(i) = Π_{c ∈ children(i)}

@@ -2,7 +2,7 @@ package repro.data
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.core.{EdgeStats, JoinTree}
+import repro.core.{Estimation, JoinTree}
 
 /** Synthetic graph datasets standing in for the CE benchmark (§5.3).
   *
@@ -60,15 +60,11 @@ object GraphData {
     val rels = (0 until n).map { i =>
       e.select(col("eid").as(s"k$i"), col("src").as(s"fk$i"), col("dst").as(s"out$i"))
     }
-    val eCount  = e.count().toDouble
-    val vSrc    = e.select("src").distinct().count().toDouble
-    val vDst    = e.select("dst").distinct().count().toDouble
     // Naive §3.2 estimates for a dst→src self-join, identical on all edges.
-    val m  = math.min(1.0, vSrc / math.max(vSrc, vDst))
-    val fo = eCount / vSrc
+    val st   = Estimation.naive(e, "dst", e, "src")
     val tree = JoinTree(
-      parents.drop(1).map(p => (p, m, math.min(fo, 15.0))),
-      driverSize = eCount,
+      parents.drop(1).map(p => (p, st.m, math.min(st.fo, 15.0))),
+      driverSize = e.count().toDouble,
     )
     TreeQuery(
       tree,

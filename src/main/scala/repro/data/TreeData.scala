@@ -2,7 +2,7 @@ package repro.data
 
 import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.core.JoinTree
+import repro.core.{EdgeStats, Estimation, JoinTree}
 
 /** Generator for join-tree datasets with *controlled* per-edge match
   * probability and fanout — the substrate for the paper's synthetic
@@ -84,18 +84,19 @@ object TreeData {
     )
   }
 
-  /** Empirical edge statistics of a generated query — used by tests to
-    * verify the generator hits the requested (m, fo) and by experiments
-    * that want *actual* rather than requested statistics.
+  /** `q`'s join tree with *measured* rather than requested statistics:
+    * each edge's exact (m, fo) (`Estimation.trueStats`, probing from the
+    * parent) and the driver's row count as the driver size. Used by tests
+    * to verify the generator hits the requested (m, fo) and by experiments
+    * that compare the cost model with execution.
     */
-  def measuredStats(q: TreeQuery, i: Int): (Double, Double) = {
-    require(i >= 1 && i < q.tree.n)
-    val p        = q.tree.parent(i)
-    val parentN  = q.rels(p).count().toDouble
-    val matched  = q.rels(i).select(col(q.childCol(i))).distinct().count().toDouble
-    val childN   = q.rels(i).count().toDouble
-    val m  = if (parentN == 0) 0.0 else matched / parentN
-    val fo = if (matched == 0) 0.0 else childN / matched
-    (m, fo)
+  def measuredTree(q: TreeQuery): JoinTree = {
+    val t     = q.tree
+    val stats = (1 until t.n).map { i =>
+      val s = Estimation.trueStats(q.rels(t.parent(i)), q.parentCol(i), q.rels(i), q.childCol(i))
+      EdgeStats(s.m, s.fo)
+    }
+    new JoinTree(t.parent, (EdgeStats(1, 1) +: stats).toArray, t.probeCost,
+      q.rels(0).count().toDouble)
   }
 }

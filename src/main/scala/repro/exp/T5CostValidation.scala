@@ -31,11 +31,7 @@ object T5CostValidation {
       Harness.withCachedQuery(spark, tree, Seed + 100 + qi) { q =>
         // Predict with *measured* statistics so generator noise does not
         // blur the model-vs-execution comparison.
-        val measured = (1 until tree.n).map(i => TreeData.measuredStats(q, i))
-        val mTree = new JoinTree(
-          tree.parent,
-          (EdgeStats(1, 1) +: measured.map { case (m, fo) => EdgeStats(m, math.max(fo, 1.0)) }).toArray,
-          tree.probeCost, q.rels(0).count().toDouble)
+        val mTree  = TreeData.measuredTree(q)
         val orders = Seq.fill(NOrders)(Optimizer.randomOrder(tree, rng)).distinct
         for (order <- orders; a <- approaches) yield {
           val pred = CostModel.cost(mTree, order, a, flatOutput = true).total(w)

@@ -17,7 +17,8 @@ class JoinTreeSpec extends AnyFunSuite {
   }
 
   test("EdgeStats rejects negative fanout") {
-    intercept[IllegalArgumentException](EdgeStats(0.5, -1.0))
+    for (fo <- Seq(-1.0, 0.0, 0.5))
+      intercept[IllegalArgumentException](EdgeStats(0.5, fo))
   }
 
   test("star shape: all satellites are children of the driver") {

@@ -14,6 +14,15 @@ class SemiJoinModelSpec extends AnyFunSuite {
     assert(math.abs(adjustedFo(0.5, 2, 0.5) - 2 * 0.5 / 0.75) < 1e-12)
   }
 
+  test("adjusted fo' never drops below 1, even through rounding") {
+    // For fo just above 1 and a small ratio, fo' is at least 1 in exact
+    // arithmetic but the division can round to just under it.
+    for (k <- 1 to 8; j <- 3 to 12) {
+      val (fo, ratio) = (1 + math.pow(10, -j), math.pow(10, -k))
+      assert(adjustedFo(0.5, fo, ratio) >= 1.0, s"fo=$fo ratio=$ratio")
+    }
+  }
+
   test("ratio 1 leaves statistics unchanged") {
     assert(adjustedM(0.3, 4, 1.0) == 0.3)
     assert(adjustedFo(0.3, 4, 1.0) == 4.0)

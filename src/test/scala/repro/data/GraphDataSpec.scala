@@ -2,7 +2,8 @@ package repro.data
 
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
-import repro.engine.StdExecutor
+import repro.core.Approach
+import repro.engine.Engine
 import repro.exp.T3Ce
 
 class GraphDataSpec extends SparkSpec {
@@ -51,7 +52,7 @@ class GraphDataSpec extends SparkSpec {
     val collected = e.select("src", "dst").collect().map(r => (r.getLong(0), r.getLong(1)))
     val predicted = T3Ce.exactOut(collected, parents)
     val q   = GraphData.aliasQuery(spark, e, parents)
-    val res = StdExecutor.run(q, Seq(1, 2), counting = false)
+    val res = Engine.run(q, Seq(1, 2), Approach.Std, counting = false)
     assert(res.log.outRows.toDouble == predicted)
   }
 
@@ -60,7 +61,7 @@ class GraphDataSpec extends SparkSpec {
     val collected = e.select("src", "dst").collect().map(r => (r.getLong(0), r.getLong(1)))
     val predicted = T3Ce.exactOut(collected, parents)
     val q   = GraphData.aliasQuery(spark, e, parents)
-    val res = StdExecutor.run(q, Seq(1, 2), counting = false)
+    val res = Engine.run(q, Seq(1, 2), Approach.Std, counting = false)
     assert(res.log.outRows.toDouble == predicted)
   }
 

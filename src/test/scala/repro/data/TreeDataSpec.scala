@@ -31,16 +31,18 @@ class TreeDataSpec extends SparkSpec {
   }
 
   test("measured match probabilities land near the requested values") {
+    val mt = TreeData.measuredTree(q)
     for (i <- 1 until tree.n) {
-      val (m, _) = TreeData.measuredStats(q, i)
+      val m = mt.stats(i).m
       assert(math.abs(m - tree.stats(i).m) < 0.05,
         s"node $i: measured m=$m requested ${tree.stats(i).m}")
     }
   }
 
   test("measured fanouts land near the requested values") {
+    val mt = TreeData.measuredTree(q)
     for (i <- 1 until tree.n) {
-      val (_, fo) = TreeData.measuredStats(q, i)
+      val fo = mt.stats(i).fo
       assert(math.abs(fo - tree.stats(i).fo) < 0.15,
         s"node $i: measured fo=$fo requested ${tree.stats(i).fo}")
     }
@@ -49,7 +51,7 @@ class TreeDataSpec extends SparkSpec {
   test("fractional fanouts average out (fo = 2.5)") {
     val t  = JoinTree(Seq((0, 0.8, 2.5)), driverSize = 5000)
     val qq = TreeData.generate(spark, t, seed = 3L)
-    val (_, fo) = TreeData.measuredStats(qq, 1)
+    val fo = TreeData.measuredTree(qq).stats(1).fo
     assert(fo > 2.35 && fo < 2.65, s"fo=$fo")
   }
 

@@ -1,7 +1,7 @@
 package repro.engine
 
 import repro.SparkSpec
-import repro.core.{EdgeStats, JoinTree}
+import repro.core.{Approach, EdgeStats, JoinTree}
 import repro.data.TreeQuery
 
 /** Executor semantics on a hand-crafted dataset where every probe count is
@@ -28,44 +28,44 @@ class ExecutorCraftedSpec extends SparkSpec {
   }
 
   test("STD probes, order [1,2,3]: 4, 3, 3; one output row") {
-    val r = StdExecutor.run(q, Seq(1, 2, 3))
+    val r = Engine.run(q, Seq(1, 2, 3), Approach.Std)
     assert(r.log.htProbes == Map(1 -> 4L, 2 -> 3L, 3 -> 3L))
     assert(r.log.outRows == 1L)
   }
 
   test("STD probes, order [1,3,2]: 4, 3, 2") {
-    val r = StdExecutor.run(q, Seq(1, 3, 2))
+    val r = Engine.run(q, Seq(1, 3, 2), Approach.Std)
     assert(r.log.htProbes == Map(1 -> 4L, 3 -> 3L, 2 -> 2L))
     assert(r.log.outRows == 1L)
   }
 
   test("COM avoids the redundant probe into R3: 4, 3, 2") {
-    val r = ComExecutor.run(q, Seq(1, 2, 3))
+    val r = Engine.run(q, Seq(1, 2, 3), Approach.Com)
     assert(r.log.htProbes == Map(1 -> 4L, 2 -> 3L, 3 -> 2L))
     assert(r.log.outRows == 1L)
   }
 
   test("COM probes, order [1,3,2]: 4, 2, 2") {
-    val r = ComExecutor.run(q, Seq(1, 3, 2))
+    val r = Engine.run(q, Seq(1, 3, 2), Approach.Com)
     assert(r.log.htProbes == Map(1 -> 4L, 3 -> 2L, 2 -> 2L))
     assert(r.log.outRows == 1L)
   }
 
   test("BVP+STD prunes the driver before the first probe: 1, 1, 1") {
-    val r = StdExecutor.run(q, Seq(1, 2, 3), bvp = true)
+    val r = Engine.run(q, Seq(1, 2, 3), Approach.BvpStd)
     assert(r.log.htProbes == Map(1 -> 1L, 2 -> 1L, 3 -> 1L))
     assert(r.log.bvProbes == 4L + 2L + 2L) // F1 on 4 rows, F3 on 2, F2 on 2
     assert(r.log.outRows == 1L)
   }
 
   test("BVP+COM prunes every vector at creation") {
-    val r = ComExecutor.run(q, Seq(1, 2, 3), bvp = true)
+    val r = Engine.run(q, Seq(1, 2, 3), Approach.BvpCom)
     assert(r.log.htProbes.values.forall(_ <= 2L))
     assert(r.log.outRows == 1L)
   }
 
   test("SJ reduces the driver fully before phase 2") {
-    val r = SjExecutor.run(q, Seq(1, 2, 3), useCom = false)
+    val r = Engine.run(q, Seq(1, 2, 3), Approach.SjStd)
     // phase 1: R1 ⋉ R2 (3 probes), driver ⋉ R1' (4) then ⋉ R3 (…) — order
     // of the two driver children depends on adjusted m'; totals only:
     assert(r.log.semiProbes > 0)
@@ -75,14 +75,13 @@ class ExecutorCraftedSpec extends SparkSpec {
   }
 
   test("SJ+COM produces the same single result row") {
-    val r = SjExecutor.run(q, Seq(1, 2, 3), useCom = true)
+    val r = Engine.run(q, Seq(1, 2, 3), Approach.SjCom)
     assert(r.log.outRows == 1L)
     assert(r.log.semiProbes > 0)
   }
 
   test("all six approaches return exactly the same flat result") {
-    import repro.core.Approach
-    val expected = bag(StdExecutor.run(q, Seq(1, 2, 3)).flat.get)
+    val expected = bag(Engine.run(q, Seq(1, 2, 3), Approach.Std).flat.get)
     for (a <- Approach.all) {
       val got = bag(Engine.run(q, Seq(1, 2, 3), a).flat.get)
       assert(got == expected, a.name)
@@ -90,12 +89,12 @@ class ExecutorCraftedSpec extends SparkSpec {
   }
 
   test("flat result matches the DuckDB oracle") {
-    val r = StdExecutor.run(q, Seq(1, 2, 3))
+    val r = Engine.run(q, Seq(1, 2, 3), Approach.Std)
     repro.Oracle.assertEquivalent(r.flat.get, q.flatSql, q.oracleTables: _*)
   }
 
   test("COM factorized output counts alive entries") {
-    val r = ComExecutor.run(q, Seq(1, 2, 3), flatOutput = false)
+    val r = Engine.run(q, Seq(1, 2, 3), Approach.Com, flatOutput = false)
     // alive entries: driver {1}, R1 {11}, R2 {21}, R3 {31} → 4 entries
     assert(r.flat.isEmpty)
     assert(r.log.outRows == 4L)
@@ -104,7 +103,6 @@ class ExecutorCraftedSpec extends SparkSpec {
   test("key-set filters run no grouping aggregate, counted or not") {
     import org.apache.spark.sql.catalyst.plans.LeftSemi
     import org.apache.spark.sql.catalyst.plans.logical.{Aggregate, Join}
-    import repro.core.Approach
     for (a <- Approach.all; counting <- Seq(true, false)) {
       val (r, plans) = recordPlans(Engine.run(q, Seq(1, 2, 3), a, counting))
       assert(r.log.outRows == 1L, s"${a.name} counting=$counting")
@@ -119,8 +117,35 @@ class ExecutorCraftedSpec extends SparkSpec {
   }
 
   test("counting=false skips probe accounting but still answers") {
-    val r = ComExecutor.run(q, Seq(1, 2, 3), counting = false)
-    assert(r.log.htProbes.isEmpty)
-    assert(r.log.outRows == 1L)
+    for (a <- Approach.all) {
+      val r = Engine.run(q, Seq(1, 2, 3), a, counting = false)
+      assert(r.log.htProbes.isEmpty, a.name)
+      assert(r.log.bvProbes == 0L && r.log.semiProbes == 0L, a.name)
+      assert(r.log.outRows == 1L, a.name)
+    }
+  }
+
+  test("factorized output is rejected for the STD family") {
+    for (a <- Seq(Approach.Std, Approach.BvpStd, Approach.SjStd))
+      intercept[IllegalArgumentException](Engine.run(q, Seq(1, 2, 3), a, flatOutput = false))
+  }
+
+  test("Spark SQL actions per call: one per count and per checkpoint") {
+    // Order [1,2,3]; the driver's children are 1 and 3, node 1's child is 2.
+    // Counted only: 3 hash-join steps; BVP's 3 bitvectors (1 and 3 on the
+    // driver, 2 after joining 1); SJ's 3 phase-1 semi-joins (node 1 by 2,
+    // the driver by 1 and 3). Always: SJ's 2 phase-1 checkpoints (nodes 1
+    // and 0); COM's 4 checkpoints (A(0) and one per step); the output, one
+    // flat count or 4 alive-entry counts (factorized, one per node).
+    import Approach._
+    val expected = Seq( // (approach, flat output, counted, uncounted)
+      (Std, true, 4, 1), (BvpStd, true, 7, 1), (SjStd, true, 9, 3),
+      (Com, true, 8, 5), (BvpCom, true, 11, 5), (SjCom, true, 13, 7),
+      (Com, false, 11, 8), (BvpCom, false, 14, 8), (SjCom, false, 16, 10))
+    for ((a, flat, counted, uncounted) <- expected; counting <- Seq(true, false)) {
+      val (_, plans) = recordPlans(Engine.run(q, Seq(1, 2, 3), a, counting, flat))
+      assert(plans.length == (if (counting) counted else uncounted),
+        s"${a.name} flat=$flat counting=$counting")
+    }
   }
 }

@@ -12,27 +12,18 @@ import repro.data.{GraphData, TreeData}
   */
 class ExecutorGeneratedSpec extends SparkSpec {
 
-  private def measuredTree(q: repro.data.TreeQuery): JoinTree = {
-    val stats = (1 until q.tree.n).map { i =>
-      val (m, fo) = TreeData.measuredStats(q, i)
-      EdgeStats(m, math.max(fo, 1.0))
-    }
-    new JoinTree(q.tree.parent, (EdgeStats(1, 1) +: stats).toArray,
-      q.tree.probeCost, q.rels(0).count().toDouble)
-  }
-
   test("all six approaches agree with each other and the oracle (snowflake)") {
     val tree = JoinTree.snowflake(2, 1,
       Seq(EdgeStats(0.5, 2), EdgeStats(0.6, 1.5), EdgeStats(0.4, 2.5), EdgeStats(0.7, 1.0)),
       driverSize = 800)
     val q     = TreeData.generate(spark, tree, seed = 21L)
     val order = Seq(1, 2, 3, 4)
-    val expected = bag(StdExecutor.run(q, order).flat.get)
+    val expected = bag(Engine.run(q, order, Approach.Std).flat.get)
     for (a <- Approach.all) {
       val got = bag(Engine.run(q, order, a).flat.get)
       assert(got == expected, a.name)
     }
-    repro.Oracle.assertEquivalent(StdExecutor.run(q, order).flat.get,
+    repro.Oracle.assertEquivalent(Engine.run(q, order, Approach.Std).flat.get,
       q.flatSql, q.oracleTables: _*)
   }
 
@@ -44,7 +35,7 @@ class ExecutorGeneratedSpec extends SparkSpec {
     val q = TreeData.generate(spark, tree, seed = 22L)
     for (_ <- 0 until 2) {
       val order = Optimizer.randomOrder(tree, rng)
-      val expected = StdExecutor.run(q, order).log.outRows
+      val expected = Engine.run(q, order, Approach.Std).log.outRows
       for (a <- Seq(Approach.Com, Approach.BvpStd, Approach.SjCom)) {
         assert(Engine.run(q, order, a).log.outRows == expected, s"$a $order")
       }
@@ -57,8 +48,8 @@ class ExecutorGeneratedSpec extends SparkSpec {
       driverSize = 500)
     val q     = TreeData.generate(spark, tree, seed = 23L)
     val order = Optimizer.greedy(tree, Optimizer.Heuristic.SurvivalProb)
-    val com = ComExecutor.run(q, order).log
-    val std = StdExecutor.run(q, order).log
+    val com = Engine.run(q, order, Approach.Com).log
+    val std = Engine.run(q, order, Approach.Std).log
     for (l <- 1 until tree.n)
       assert(com.htProbes(l) <= std.htProbes(l), s"node $l")
   }
@@ -67,9 +58,9 @@ class ExecutorGeneratedSpec extends SparkSpec {
     val tree = JoinTree.star(4,
       Seq(EdgeStats(0.5, 2), EdgeStats(0.4, 3), EdgeStats(0.6, 1.5)), driverSize = 3000)
     val q     = TreeData.generate(spark, tree, seed = 24L)
-    val mt    = measuredTree(q)
+    val mt    = TreeData.measuredTree(q)
     val order = Seq(1, 2, 3)
-    val log   = StdExecutor.run(q, order).log
+    val log   = Engine.run(q, order, Approach.Std).log
     val model = CostModel.std(mt, order)
     assert(math.abs(log.totalHt - model.htProbes) / model.htProbes < 0.10,
       s"measured ${log.totalHt} model ${model.htProbes}")
@@ -81,9 +72,9 @@ class ExecutorGeneratedSpec extends SparkSpec {
           EdgeStats(0.7, 2), EdgeStats(0.5, 1.5)),
       driverSize = 3000)
     val q     = TreeData.generate(spark, tree, seed = 25L)
-    val mt    = measuredTree(q)
+    val mt    = TreeData.measuredTree(q)
     val order = Seq(1, 2, 4, 3, 5)
-    val log   = ComExecutor.run(q, order).log
+    val log   = Engine.run(q, order, Approach.Com).log
     val model = CostModel.com(mt, order, flatOutput = false)
     assert(math.abs(log.totalHt - model.htProbes) / model.htProbes < 0.15,
       s"measured ${log.totalHt} model ${model.htProbes}")
@@ -94,8 +85,8 @@ class ExecutorGeneratedSpec extends SparkSpec {
       Seq(EdgeStats(0.5, 2), EdgeStats(0.4, 2), EdgeStats(0.6, 1.5), EdgeStats(0.3, 2)),
       driverSize = 3000)
     val q     = TreeData.generate(spark, tree, seed = 26L)
-    val mt    = measuredTree(q)
-    val log   = SjExecutor.run(q, Seq(1, 2, 3, 4), useCom = true).log
+    val mt    = TreeData.measuredTree(q)
+    val log   = Engine.run(q, Seq(1, 2, 3, 4), Approach.SjCom).log
     val model = SemiJoinModel.phase1Probes(mt)
     assert(math.abs(log.semiProbes - model) / model < 0.15,
       s"measured ${log.semiProbes} model $model")
@@ -106,8 +97,8 @@ class ExecutorGeneratedSpec extends SparkSpec {
       Seq(EdgeStats(0.2, 2), EdgeStats(0.2, 2), EdgeStats(0.2, 2)), driverSize = 2000)
     val q     = TreeData.generate(spark, tree, seed = 27L)
     val order = Seq(1, 2, 3)
-    val bvp = StdExecutor.run(q, order, bvp = true).log
-    val std = StdExecutor.run(q, order).log
+    val bvp = Engine.run(q, order, Approach.BvpStd).log
+    val std = Engine.run(q, order, Approach.Std).log
     assert(bvp.totalHt < std.totalHt / 2)
     assert(bvp.outRows == std.outRows)
   }
@@ -116,8 +107,8 @@ class ExecutorGeneratedSpec extends SparkSpec {
     val cfg = GraphData.Config("t", 80, 400, 0.9)
     val e   = GraphData.edges(spark, cfg, seed = 5L)
     val q   = GraphData.aliasQuery(spark, e, Seq(-1, 0, 1))
-    val std = StdExecutor.run(q, Seq(1, 2))
-    val com = ComExecutor.run(q, Seq(1, 2))
+    val std = Engine.run(q, Seq(1, 2), Approach.Std)
+    val com = Engine.run(q, Seq(1, 2), Approach.Com)
     assert(std.log.outRows == com.log.outRows)
     val a = bag(std.flat.get)
     val b = bag(com.flat.get)
@@ -128,14 +119,14 @@ class ExecutorGeneratedSpec extends SparkSpec {
     val cfg = GraphData.Config("t2", 60, 250, 1.0)
     val e   = GraphData.edges(spark, cfg, seed = 6L)
     val q   = GraphData.aliasQuery(spark, e, Seq(-1, 0, 0))
-    val r   = StdExecutor.run(q, Seq(1, 2))
+    val r   = Engine.run(q, Seq(1, 2), Approach.Std)
     repro.Oracle.assertEquivalent(r.flat.get, q.flatSql, q.oracleTables: _*)
   }
 
   test("wall time is recorded") {
     val tree = JoinTree.star(3, Seq(EdgeStats(0.5, 2), EdgeStats(0.5, 2)), driverSize = 200)
     val q = TreeData.generate(spark, tree, seed = 28L)
-    val r = StdExecutor.run(q, Seq(1, 2))
+    val r = Engine.run(q, Seq(1, 2), Approach.Std)
     assert(r.log.wallMs >= 0)
   }
 }
