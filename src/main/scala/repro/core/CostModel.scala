@@ -78,16 +78,8 @@ object CostModel {
   }
 
   /** COM (§3.3): Eq. (1) probes; generation only at the final expansion. */
-  def com(tree: JoinTree, order: Seq[Int], flatOutput: Boolean): PlanCost = {
-    validateOrder(tree, order)
-    var eval   = 1
-    var probes = 0.0
-    for (l <- order) {
-      probes += tree.probeCost(l) * Survival.probesCom(tree, eval, l)
-      eval |= bit(l)
-    }
-    PlanCost(probes, 0, 0, if (flatOutput) tree.expectedOutput else 0.0)
-  }
+  def com(tree: JoinTree, order: Seq[Int], flatOutput: Boolean): PlanCost =
+    comFamily(tree, order, flatOutput, None)
 
   /** One bitvector sweep (§3.5): the bitvectors of `of`'s children, applied
     * in ascending node order to `count` rows. Each is charged the rows it
@@ -129,23 +121,47 @@ object CostModel {
     * level at application time.
     */
   def bvpCom(tree: JoinTree, order: Seq[Int], flatOutput: Boolean,
-             eps: Double = DefaultEps): PlanCost = {
-    validateOrder(tree, order)
-    val e      = Some(eps)
-    var eval   = 1
-    var htP    = 0.0
-    var bvP    = 0.0
-    // Bitvectors of the driver's children: applied to the N driver tuples
-    // up front, sequentially.
-    bvSweep(tree, 0, tree.driverSize, eps)(bvP += _)
-    for (l <- order) {
-      htP += tree.probeCost(l) * Survival.probesCom(tree, eval, l, e)
-      eval |= bit(l)
-      // BVs of l's children become available now; they filter the entries
-      // at l's level.
-      bvSweep(tree, l, Survival.entriesAfterJoin(tree, eval, l, e), eps)(bvP += _)
+             eps: Double = DefaultEps): PlanCost =
+    comFamily(tree, order, flatOutput, Some(eps))
+
+  /** The cost of joining `l` next after the evaluated set `evalMask`, under
+    * COM (`eps = None`) or BVP+COM (`Some(ε)`): c_l × Eq. (1) hash probes
+    * and, with ε, the bitvectors of l's children, which fire right after l
+    * joins and filter the entries at l's level. It depends only on
+    * (`evalMask`, l), which is why the principle of optimality holds
+    * (Thm 3.3) and Algorithm 1 applies.
+    */
+  def comStep(tree: JoinTree, evalMask: Int, l: Int, eps: Option[Double]): PlanCost = {
+    val ht = tree.probeCost(l) * Survival.probesCom(tree, evalMask, l, eps)
+    var bv = 0.0
+    eps.foreach { e =>
+      bvSweep(tree, l, Survival.entriesAfterJoin(tree, evalMask | bit(l), l, eps), e)(bv += _)
     }
-    PlanCost(htP, bvP, 0, if (flatOutput) tree.expectedOutput else 0.0)
+    PlanCost(ht, bv, 0, 0)
+  }
+
+  /** Bitvector probes of the driver's children, applied to the N driver
+    * tuples before any join.
+    */
+  def driverSweep(tree: JoinTree, eps: Double): Double = {
+    var bv = 0.0
+    bvSweep(tree, 0, tree.driverSize, eps)(bv += _)
+    bv
+  }
+
+  /** COM and BVP+COM: the driver sweep when ε is set, then `comStep` per
+    * join.
+    */
+  private def comFamily(tree: JoinTree, order: Seq[Int], flatOutput: Boolean,
+                        eps: Option[Double]): PlanCost = {
+    validateOrder(tree, order)
+    var eval = 1
+    var cost = PlanCost(0, eps.fold(0.0)(driverSweep(tree, _)), 0, 0)
+    for (l <- order) {
+      cost += comStep(tree, eval, l, eps)
+      eval |= bit(l)
+    }
+    cost.copy(genTuples = if (flatOutput) tree.expectedOutput else 0.0)
   }
 
   /** SJ+STD / SJ+COM (§3.6): phase-1 semi-join probes plus a phase-2 STD or

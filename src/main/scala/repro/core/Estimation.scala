@@ -10,14 +10,12 @@ import org.apache.spark.sql.functions._
   */
 object Estimation {
 
-  final case class Stats(m: Double, fo: Double)
-
   /** Ground truth by exact computation. */
-  def trueStats(r: DataFrame, rKey: String, s: DataFrame, sKey: String): Stats = {
+  def trueStats(r: DataFrame, rKey: String, s: DataFrame, sKey: String): EdgeStats = {
     val rCount  = r.count().toDouble
     val matched = r.join(s, r(rKey) === s(sKey), "left_semi").count().toDouble
     val joined  = r.join(s, r(rKey) === s(sKey)).count().toDouble
-    Stats(
+    EdgeStats(
       m = if (rCount == 0) 0.0 else matched / rCount,
       fo = if (matched == 0) 1.0 else joined / matched,
     )
@@ -26,11 +24,11 @@ object Estimation {
   /** The naive uniformity/independence estimator:
     * m = V(A,S) / max(V(A,R), V(A,S)), fo = |S| / V(A,S).
     */
-  def naive(r: DataFrame, rKey: String, s: DataFrame, sKey: String): Stats = {
+  def naive(r: DataFrame, rKey: String, s: DataFrame, sKey: String): EdgeStats = {
     val vR = r.select(rKey).distinct().count().toDouble
     val vS = s.select(sKey).distinct().count().toDouble
     val nS = s.count().toDouble
-    Stats(
+    EdgeStats(
       m = if (math.max(vR, vS) == 0) 0.0 else vS / math.max(vR, vS),
       fo = if (vS == 0) 1.0 else nS / vS,
     )
@@ -41,7 +39,7 @@ object Estimation {
     * among the matched.
     */
   def sampled(r: DataFrame, rKey: String, s: DataFrame, sKey: String,
-              sampleSize: Int, seed: Long): Stats = {
+              sampleSize: Int, seed: Long): EdgeStats = {
     val sample = r.orderBy(rand(seed)).limit(sampleSize)
       .withColumn("__rid", monotonically_increasing_id())
       .persist()
@@ -54,7 +52,7 @@ object Estimation {
         .collect()(0)
       val matched = Option(counts.get(0)).map(_.toString.toDouble).getOrElse(0.0)
       val total   = Option(counts.get(1)).map(_.toString.toDouble).getOrElse(0.0)
-      Stats(
+      EdgeStats(
         m = if (k == 0) 0.0 else matched / k,
         fo = if (matched == 0) 1.0 else total / matched,
       )

@@ -38,6 +38,8 @@ final class JoinTree(
 ) {
   require(parent.length == stats.length && parent.length == probeCost.length)
   require(parent.length >= 1 && parent(0) == -1, "node 0 must be the root/driver")
+  require(parent.length <= JoinTree.MaxRelations,
+    s"at most ${JoinTree.MaxRelations} relations (evaluated sets are Int bitmasks), got ${parent.length}")
   require(parent.zipWithIndex.drop(1).forall { case (p, i) => p >= 0 && p < i },
     "parents must precede children (topological node numbering)")
 
@@ -75,11 +77,13 @@ final class JoinTree(
   /** Expected flat result cardinality OUT = N × Π sᵢ (independence). */
   def expectedOutput: Double = (1 until n).foldLeft(driverSize)((acc, i) => acc * stats(i).s)
 
-  /** Nodes whose parent is inside `eval` but which are not themselves
-    * evaluated — the joins eligible to run next in a left-deep plan.
+  /** Nodes whose parent is inside the evaluated set but which are not
+    * themselves evaluated — the joins eligible to run next in a left-deep
+    * plan, in node order. `evalMask` has bit i set when relation i is
+    * evaluated.
     */
-  def eligible(eval: Set[Int]): List[Int] =
-    (1 until n).filter(i => !eval(i) && eval(parent(i))).toList
+  def eligible(evalMask: Int): List[Int] =
+    (1 until n).filter(i => (evalMask & (1 << i)) == 0 && (evalMask & (1 << parent(i))) != 0).toList
 
   override def toString: String =
     s"JoinTree(n=$n, parent=${parent.mkString(",")}, " +
@@ -87,6 +91,9 @@ final class JoinTree(
 }
 
 object JoinTree {
+
+  /** Most relations a tree may hold: evaluated sets are `Int` bitmasks. */
+  val MaxRelations = 32
 
   /** Build a tree from (parent, m, fo) triples for nodes 1..n-1, with unit
     * probe costs and the given driver cardinality.

@@ -18,36 +18,28 @@ object Robustness {
   private def geomSum(x: Double, from: Int, to: Int): Double =
     (from to to).map(i => math.pow(x, i)).sum
 
-  /** θ for the selectivity-based model: (1 − s_min^{n-1}) / (1 − s_min). */
-  def thetaStd(sMin: Double, n: Int): Double =
-    if (math.abs(1.0 - sMin) < 1e-12) (n - 1).toDouble
-    else (1.0 - math.pow(sMin, n - 1)) / (1.0 - sMin)
+  // The bounds and the star cost have one form for both cost models; only
+  // the statistic differs. The selectivity (STD) model feeds them
+  // selectivities s = m × fo, the COM model match probabilities m.
 
-  /** Θ for the selectivity-based model:
-    * (Σ_{i=1}^{n-2} s_max^i − s_min^i) / (s_max − s_min).
-    */
-  def bigThetaStd(sMin: Double, sMax: Double, n: Int): Double = {
-    require(sMax > sMin)
-    (geomSum(sMax, 1, n - 2) - geomSum(sMin, 1, n - 2)) / (sMax - sMin)
+  /** θ: (1 − x_min^{n-1}) / (1 − x_min). */
+  def theta(xMin: Double, n: Int): Double =
+    if (math.abs(1.0 - xMin) < 1e-12) (n - 1).toDouble
+    else (1.0 - math.pow(xMin, n - 1)) / (1.0 - xMin)
+
+  /** Θ: (Σ_{i=1}^{n-2} x_max^i − x_min^i) / (x_max − x_min). */
+  def bigTheta(xMin: Double, xMax: Double, n: Int): Double = {
+    require(xMax > xMin)
+    (geomSum(xMax, 1, n - 2) - geomSum(xMin, 1, n - 2)) / (xMax - xMin)
   }
 
-  /** θ for the COM model — same form over match probabilities. */
-  def thetaCom(mMin: Double, n: Int): Double = thetaStd(mMin, n)
-
-  /** Θ for the COM model — same form over match probabilities. */
-  def bigThetaCom(mMin: Double, mMax: Double, n: Int): Double =
-    bigThetaStd(mMin, mMax, n)
-
-  /** Exact per-driver-tuple cost of a star-query order under each model.
-    * STD: 1 + s₁ + s₁s₂ + ...; COM: 1 + m₁ + m₁m₂ + ... (Eq. (1) — all
-    * joins are on driver attributes, so fanouts never expand the probe
-    * stream).
+  /** Exact per-driver-tuple cost of a star-query order: 1 + x₁ + x₁x₂ + ...
+    * For STD that is 1 + s₁ + s₁s₂ + ...; for COM 1 + m₁ + m₁m₂ + ...
+    * (Eq. (1) — all joins are on driver attributes, so fanouts never
+    * expand the probe stream).
     */
-  def starCostStd(s: Seq[Double]): Double =
-    s.init.scanLeft(1.0)(_ * _).sum
-
-  def starCostCom(m: Seq[Double]): Double =
-    m.init.scanLeft(1.0)(_ * _).sum
+  def starCost(x: Seq[Double]): Double =
+    x.init.scanLeft(1.0)(_ * _).sum
 
   /** Normalized maximum deviation over the full plan space of a star query
     * (ascending order is best, descending worst for either model).
@@ -55,8 +47,8 @@ object Robustness {
   def maxDeviation(stat: Seq[Double]): Double = {
     val spread = stat.max - stat.min
     require(spread > 0, "degenerate spread")
-    val best  = starCostStd(stat.sorted)
-    val worst = starCostStd(stat.sorted.reverse)
+    val best  = starCost(stat.sorted)
+    val worst = starCost(stat.sorted.reverse)
     (worst - best) / spread
   }
 
@@ -86,8 +78,8 @@ object Robustness {
     // order chosen on estimates, evaluated on the true statistics.
     def penalty(estKey: Array[Double], trueVal: Array[Double]): Double = {
       val chosen  = estKey.zipWithIndex.sortBy(_._1).map(_._2)
-      val chosenC = starCostStd(chosen.map(trueVal).toSeq)
-      val bestC   = starCostStd(trueVal.sorted.toSeq)
+      val chosenC = starCost(chosen.map(trueVal).toSeq)
+      val bestC   = starCost(trueVal.sorted.toSeq)
       100.0 * (chosenC - bestC) / bestC
     }
     Trial(stdPct = penalty(sEst, s), comPct = penalty(mEst, m))

@@ -42,9 +42,7 @@ object SemiJoinModel {
       var r  = 1.0
       var cs = tree.children(i)
       while (cs.nonEmpty) {
-        val c  = cs.head
-        val st = tree.stats(c)
-        r *= adjustedM(st.m, st.fo, red(c))
+        r *= reducedM(tree, red, cs.head)
         cs = cs.tail
       }
       red(i) = r
@@ -53,24 +51,32 @@ object SemiJoinModel {
     red
   }
 
+  /** m′ of the edge into child `c` once `c` is reduced by red(c). */
+  private def reducedM(tree: JoinTree, red: Array[Double], c: Int): Double = {
+    val st = tree.stats(c)
+    adjustedM(st.m, st.fo, red(c))
+  }
+
+  /** Phase 1's semi-join order (§3.6): for each node, its children in
+    * ascending adjusted match probability m′ (the optimal order), ties in
+    * node order. The executor and `phase1Probes` both follow it.
+    */
+  def phase1Order(tree: JoinTree): Array[List[Int]] = {
+    val red = reductionRatios(tree)
+    tree.children.map(_.sortBy(reducedM(tree, red, _)))
+  }
+
   /** Expected number of semi-join probes in phase 1. For each internal node
     * p, its |R_p| tuples are checked against the reduced children in
-    * ascending order of adjusted match probability (the optimal order,
-    * §3.6): probes = |R_p| × (1 + m′₁ + m′₁m′₂ + ...).
+    * `phase1Order`: probes = |R_p| × (1 + m′₁ + m′₁m′₂ + ...).
     */
   def phase1Probes(tree: JoinTree): Double = {
     val red   = reductionRatios(tree)
+    val order = phase1Order(tree)
     var total = 0.0
-    var p     = 0
-    while (p < tree.n) {
-      if (tree.children(p).nonEmpty) {
-        val ms = tree.children(p)
-          .map { c => val st = tree.stats(c); adjustedM(st.m, st.fo, red(c)) }
-          .sorted
-        var surviving = tree.size(p)
-        for (m <- ms) { total += surviving; surviving *= m }
-      }
-      p += 1
+    for (p <- 0 until tree.n) {
+      var surviving = tree.size(p)
+      for (c <- order(p)) { total += surviving; surviving *= reducedM(tree, red, c) }
     }
     total
   }

@@ -10,8 +10,8 @@ package repro.core
   * bitvector-pruning variant (ε = false-positive probability).
   *
   * Evaluated sets are bitmasks (bit i = relation i evaluated); the paper's
-  * trees have ≤ ~20 relations so an Int mask suffices and keeps the
-  * exhaustive DP allocation-free.
+  * trees have ≤ ~20 relations, so an Int mask suffices
+  * (`JoinTree.MaxRelations`).
   */
 object Survival {
 
@@ -25,20 +25,12 @@ object Survival {
     * With bitvector pruning (`eps = Some(ε)`), every *pending* child — a
     * child of an evaluated node whose own join has not run yet, but whose
     * bitvector has already been applied — contributes a factor (m_c + ε)
-    * capped at 1 (§3.5). `exclude` marks one pending node to skip (the
-    * relation about to be probed, which is accounted separately).
+    * capped at 1 (§3.5).
     */
   def branchSurvival(tree: JoinTree, evalMask: Int, r: Int,
-                     eps: Option[Double] = None, exclude: Int = -1): Double = {
+                     eps: Option[Double] = None): Double = {
     val st = tree.stats(r)
-    var x  = 1.0
-    var cs = tree.children(r)
-    while (cs.nonEmpty) {
-      val c = cs.head
-      if ((evalMask & bit(c)) != 0) x *= branchSurvival(tree, evalMask, c, eps, exclude)
-      else eps.foreach { e => if (c != exclude) x *= math.min(1.0, tree.stats(c).m + e) }
-      cs = cs.tail
-    }
+    val x  = offPath(tree, evalMask, r, -1, eps, 1.0)
     if (x >= 1.0) st.m
     else st.m * (1.0 - math.pow(1.0 - x, st.fo))
   }
@@ -47,13 +39,24 @@ object Survival {
     * tree: the product of the branch survivals of the driver's evaluated
     * children (the driver itself has m = 1).
     */
-  def treeSurvival(tree: JoinTree, evalMask: Int, eps: Option[Double] = None): Double = {
-    var x  = 1.0
-    var cs = tree.children(0)
+  def treeSurvival(tree: JoinTree, evalMask: Int, eps: Option[Double] = None): Double =
+    offPath(tree, evalMask, 0, -1, eps, 1.0)
+
+  /** `acc` times the factor of each child of `a` but `skip`, in node order:
+    * an evaluated child contributes its branch survival m_T; with `eps`, a
+    * pending child contributes min(1, m + ε), since its bitvector was
+    * applied the moment `a` was joined.
+    */
+  private def offPath(tree: JoinTree, evalMask: Int, a: Int, skip: Int,
+                      eps: Option[Double], acc: Double): Double = {
+    var x  = acc
+    var cs = tree.children(a)
     while (cs.nonEmpty) {
       val c = cs.head
-      if ((evalMask & bit(c)) != 0) x *= branchSurvival(tree, evalMask, c, eps)
-      else eps.foreach(e => x *= math.min(1.0, tree.stats(c).m + e))
+      if (c != skip) {
+        if ((evalMask & bit(c)) != 0) x *= branchSurvival(tree, evalMask, c, eps)
+        else eps.foreach(e => x *= math.min(1.0, tree.stats(c).m + e))
+      }
       cs = cs.tail
     }
     x
@@ -74,26 +77,17 @@ object Survival {
     require((evalMask & bit(l)) == 0, s"relation $l already evaluated")
     require(tree.parent(l) == 0 || (evalMask & bit(tree.parent(l))) != 0,
       s"parent of $l not evaluated — order violates precedence")
-    val path = tree.pathFromRoot(tree.parent(l)) // root ... parent(l)
-    val onPath = path.toSet
-    var probes = tree.driverSize
-    for (a <- path) {
-      if (a != 0) { val st = tree.stats(a); probes *= st.m * st.fo }
-      var cs = tree.children(a)
-      while (cs.nonEmpty) {
-        val c = cs.head
-        if (!onPath(c)) {
-          if ((evalMask & bit(c)) != 0) probes *= branchSurvival(tree, evalMask, c, eps)
-          else eps.foreach { e =>
-            // Pending bitvector: applied the moment `a` was joined. This
-            // includes BV(l) itself (l is a pending child of parent(l)).
-            probes *= math.min(1.0, tree.stats(c).m + e)
-          }
-        }
-        cs = cs.tail
-      }
+    // Eq. (1) from the root down to path node `a`: N, m·fo of each path
+    // node but the root, and the factors of every child off the path
+    // (`below` is the path child under `a`).
+    def along(a: Int, below: Int): Double = {
+      val upTo =
+        if (a == 0) tree.driverSize
+        else { val st = tree.stats(a); along(tree.parent(a), a) * (st.m * st.fo) }
+      offPath(tree, evalMask, a, below, eps, upTo)
     }
-    probes
+    // l itself is a pending child of parent(l): BV(l) counts with ε.
+    along(tree.parent(l), -1)
   }
 
   /** Expected number of *entries at relation `a`'s level* in the factorized

@@ -31,10 +31,9 @@ object GraphData {
     * Deterministic in the seed.
     */
   def edges(spark: SparkSession, cfg: Config, seed: Long = 7L): DataFrame = {
-    val norm = (1L to math.min(cfg.vertices, 5000L))
-      .map(k => 1.0 / math.pow(k, cfg.alpha)).sum
-    val u1 = pmod(xxhash64(col("id"), lit(seed)), lit(1000000L)).cast("double") / 1e6
-    val u2 = pmod(xxhash64(col("id"), lit(seed + 1)), lit(1000000L)).cast("double") / 1e6
+    val norm = Draw.zipfNorm(cfg.vertices, cfg.alpha)
+    val u1   = Draw.u01(col("id"), seed)
+    val u2   = Draw.u01(col("id"), seed + 1)
     spark.range(cfg.edges).select(
       col("id").as("eid"),
       (u1 * cfg.vertices + 1).cast("long").as("src"),

@@ -19,14 +19,14 @@ object PairData {
            alpha: Option[Double], seed: Long): (DataFrame, DataFrame) = {
     require(overlap >= 0.0 && overlap <= 1.0)
     val r = spark.range(1, nR + 1).select(col("id").as("a"))
-    val u = pmod(xxhash64(col("id"), lit(seed)), lit(1000000L)).cast("double") / 1e6
+    val u = Draw.u01(col("id"), seed)
     // Window [lo+1, lo+nR] with lo = (1-overlap)·nR: exactly `overlap·nR`
     // of its values fall inside R's domain [1, nR].
     val lo = ((1.0 - overlap) * nR).toLong
     val pos = alpha match {
       case None => (u * nR).cast("long") // uniform position in the window
       case Some(a) =>
-        val norm = (1L to math.min(nR, 5000L)).map(k => 1.0 / math.pow(k, a)).sum
+        val norm = Draw.zipfNorm(nR, a)
         least(lit(nR - 1),
           greatest(lit(0L),
             (pow(lit(1.0) / (u * norm + 1e-9), lit(1.0 / a)) - 1).cast("long")))

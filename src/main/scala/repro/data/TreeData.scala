@@ -1,6 +1,6 @@
 package repro.data
 
-import org.apache.spark.sql.{Column, DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core.{EdgeStats, Estimation, JoinTree}
 
@@ -27,10 +27,6 @@ object TreeData {
   /** Maximum supported fanout (key-packing uses 4 bits per level). */
   val MaxFanout = 15.0
 
-  /** Seeded pseudo-uniform in [0, 1) derived from a column. */
-  private def u01(c: Column, seed: Long): Column =
-    pmod(xxhash64(c, lit(seed)), lit(1000000L)).cast("double") / 1e6
-
   /** Child relation of `parentKeys` (a single-column DataFrame named `pk`)
     * for node `node` with the given stats.
     */
@@ -43,9 +39,9 @@ object TreeData {
     val sFrac  = seed * 7919 + node * 13 + 2
     val sPay   = seed * 7919 + node * 13 + 3
     val cnt =
-      lit(base) + when(u01(col("pk"), sFrac) < frac, 1L).otherwise(0L)
+      lit(base) + when(Draw.u01(col("pk"), sFrac) < frac, 1L).otherwise(0L)
     parentKeys
-      .where(u01(col("pk"), sMatch) < m)
+      .where(Draw.u01(col("pk"), sMatch) < m)
       .select(col("pk").as(s"fk$node"), explode(sequence(lit(1L), cnt)).as("copy"))
       .select(
         (col(s"fk$node") * 16 + col("copy")).as(s"k$node"),
@@ -93,8 +89,7 @@ object TreeData {
   def measuredTree(q: TreeQuery): JoinTree = {
     val t     = q.tree
     val stats = (1 until t.n).map { i =>
-      val s = Estimation.trueStats(q.rels(t.parent(i)), q.parentCol(i), q.rels(i), q.childCol(i))
-      EdgeStats(s.m, s.fo)
+      Estimation.trueStats(q.rels(t.parent(i)), q.parentCol(i), q.rels(i), q.childCol(i))
     }
     new JoinTree(t.parent, (EdgeStats(1, 1) +: stats).toArray, t.probeCost,
       q.rels(0).count().toDouble)

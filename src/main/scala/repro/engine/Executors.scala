@@ -79,13 +79,11 @@ object Engine {
       * leaves untouched.
       */
     def phase1(): IndexedSeq[DataFrame] = {
-      val red     = SemiJoinModel.reductionRatios(t)
+      val order   = SemiJoinModel.phase1Order(t)
       val reduced = new Array[DataFrame](t.n)
       for (i <- (t.n - 1) to 0 by -1) {
-        val kids = t.children(i).sortBy { c =>
-          val st = t.stats(c); SemiJoinModel.adjustedM(st.m, st.fo, red(c))
-        }
-        val r = reduce(q.rels(i), kids, reduced(_), d => if (counting) semi += d.count())
+        val kids = order(i)
+        val r    = reduce(q.rels(i), kids, reduced(_), d => if (counting) semi += d.count())
         // Truncate lineage: phase 2 re-derives plans over these reductions.
         reduced(i) = if (kids.isEmpty) r else r.localCheckpoint()
       }

@@ -19,8 +19,8 @@ import repro.core.{EdgeStats, JoinTree, Optimizer}
   * Statistics are keyed by the equi-join column-name pair
   * (parent column, child column) — in this repository every relation's
   * columns are globally uniquely named, which makes the key unambiguous.
-  * Chains with an unknown edge, non-equi conditions, or bushy shapes are
-  * left untouched.
+  * Chains with an unknown edge, non-equi conditions, bushy shapes, or more
+  * than `JoinTree.MaxRelations` relations are left untouched.
   *
   * Inject via `spark.experimental.extraOptimizations`. A rebuilt chain is
   * tagged so the fixpoint driver does not re-enter it.
@@ -73,7 +73,7 @@ final case class ManyToManyReorder(statsOf: (String, String) => Option[EdgeStats
   private def rewrite(j: Join): Option[LogicalPlan] = {
     val (leaves, conds) = flatten(j)
     val n = leaves.length
-    if (n < 3 || conds.length != n - 1) return None
+    if (n < 3 || n > JoinTree.MaxRelations || conds.length != n - 1) return None
 
     // conds(i-1) connects leaf i to exactly one earlier leaf (its parent).
     val parent  = Array.fill(n)(-1)

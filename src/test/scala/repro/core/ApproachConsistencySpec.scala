@@ -14,6 +14,11 @@ class ApproachConsistencySpec extends AnyFunSuite {
   private def survOrder(t: JoinTree): Seq[Int] =
     Optimizer.greedy(t, Optimizer.Heuristic.SurvivalProb)
 
+  /** STD step cost for Algorithm 1: c_l × N Π s over the evaluated set. */
+  private def stdStep(t: JoinTree)(mask: Int, l: Int): Double =
+    t.probeCost(l) * (1 until t.n).filter(i => (mask & (1 << i)) != 0)
+      .foldLeft(t.driverSize)((acc, i) => acc * t.stats(i).s)
+
   test("BVP+COM hash probes converge to COM probes as eps grows to cover m gaps") {
     // With eps large enough that every (m + eps) caps at 1, the bitvectors
     // filter nothing and hash probes equal plain COM.
@@ -124,7 +129,7 @@ class ApproachConsistencySpec extends AnyFunSuite {
     for (_ <- 0 until 10) {
       val t = JoinTree.star(6,
         Seq.fill(5)(EdgeStats(0.1 + rng.nextDouble() * 0.8, 1 + rng.nextDouble() * 5)), 100)
-      val (_, dp) = Optimizer.exhaustive(t, Optimizer.stepCostStd(t))
+      val (_, dp) = Optimizer.exhaustive(t, stdStep(t))
       val g = CostModel.std(t, Optimizer.greedy(t, Optimizer.Heuristic.RankOrdering)).htProbes
       assert(math.abs(dp - g) < 1e-6 * math.max(1.0, g))
     }

@@ -7,12 +7,12 @@ object BruteForce {
   def apply(tree: JoinTree, orderCost: Seq[Int] => Double): (List[Int], Double) = {
     var bestOrder = List.empty[Int]
     var bestCost  = Double.PositiveInfinity
-    def rec(eval: Set[Int], acc: List[Int]): Unit =
-      if (eval.size == tree.n) {
+    def rec(evalMask: Int, acc: List[Int]): Unit =
+      if (acc.length == tree.n - 1) {
         val c = orderCost(acc.reverse)
         if (c < bestCost) { bestCost = c; bestOrder = acc.reverse }
-      } else tree.eligible(eval).foreach(l => rec(eval + l, l :: acc))
-    rec(Set(0), Nil)
+      } else tree.eligible(evalMask).foreach(l => rec(evalMask | (1 << l), l :: acc))
+    rec(1, Nil)
     (bestOrder, bestCost)
   }
 }

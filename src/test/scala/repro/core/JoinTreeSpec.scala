@@ -67,9 +67,16 @@ class JoinTreeSpec extends AnyFunSuite {
 
   test("eligible respects precedence") {
     val t = JoinTree.runningExample(Seq.fill(5)(es))
-    assert(t.eligible(Set(0)) == List(1, 4))
-    assert(t.eligible(Set(0, 1)) == List(2, 3, 4))
-    assert(t.eligible(Set(0, 1, 2, 3, 4)) == List(5))
+    assert(t.eligible(0x1) == List(1, 4))   // {0}
+    assert(t.eligible(0x3) == List(2, 3, 4)) // {0, 1}
+    assert(t.eligible(0x1f) == List(5))      // {0, 1, 2, 3, 4}
+  }
+
+  test("a tree fits the Int bitmask: 32 relations plan, 33 are rejected") {
+    val big = JoinTree.star(32, Seq.fill(31)(es))
+    for (h <- Optimizer.Heuristic.all)
+      CostModel.validateOrder(big, Optimizer.greedy(big, h))
+    intercept[IllegalArgumentException](JoinTree.star(33, Seq.fill(32)(es)))
   }
 
   test("generative sizes multiply selectivities down the tree") {

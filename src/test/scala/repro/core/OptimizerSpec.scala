@@ -136,11 +136,16 @@ class OptimizerSpec extends AnyFunSuite {
     assert(a != b)
   }
 
-  test("stepCostStd reproduces the classical prefix-product probes") {
-    val tree = JoinTree(Seq((0, 0.5, 4.0), (0, 0.25, 2.0)), driverSize = 100)
-    val sc = Optimizer.stepCostStd(tree)
-    assert(sc(1, 1) == 100.0)                  // nothing evaluated yet
-    assert(sc(1 | 2, 2) == 100.0 * 2.0)        // after node 1 (s=2)
+  test("DP ties go to the lower last-joined relation, under COM and BVP+COM") {
+    // Symmetric shapes make many orders cost exactly the same; the DP picks
+    // the lowest last relation at every step, so the order reads backwards.
+    val es   = EdgeStats(0.5, 2.0)
+    val star = JoinTree.star(5, Seq.fill(4)(es), driverSize = 100)
+    val path = JoinTree.centeredPath(5, Seq.fill(4)(es), driverSize = 100)
+    assert(Optimizer.exhaustiveCom(star)._1 == List(4, 3, 2, 1))
+    assert(Optimizer.exhaustiveBvpCom(star)._1 == List(4, 3, 2, 1))
+    assert(Optimizer.exhaustiveCom(path)._1 == List(3, 1, 4, 2))
+    assert(Optimizer.exhaustiveBvpCom(path)._1 == List(3, 1, 4, 2))
   }
 
   test("exhaustive DP rejects oversized trees") {

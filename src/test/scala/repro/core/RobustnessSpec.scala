@@ -10,10 +10,10 @@ class RobustnessSpec extends AnyFunSuite {
     val rng = new Random(31)
     for (_ <- 0 until 20) {
       val s    = Seq.fill(5)(0.1 + rng.nextDouble() * 2)
-      val best = starCostStd(s.sorted)
+      val best = starCost(s.sorted)
       for (_ <- 0 until 20) {
         val perm = rng.shuffle(s)
-        assert(starCostStd(perm) >= best - 1e-12)
+        assert(starCost(perm) >= best - 1e-12)
       }
     }
   }
@@ -21,17 +21,17 @@ class RobustnessSpec extends AnyFunSuite {
   test("theta closed form is the geometric sum Σ s_min^i") {
     val s = 0.3; val n = 5
     val expected = (0 until n - 1).map(i => math.pow(s, i)).sum
-    assert(math.abs(thetaStd(s, n) - expected) < 1e-12)
+    assert(math.abs(theta(s, n) - expected) < 1e-12)
   }
 
   test("theta at s_min → 1 degenerates to n-1") {
-    assert(math.abs(thetaStd(1.0, 6) - 5.0) < 1e-9)
+    assert(math.abs(theta(1.0, 6) - 5.0) < 1e-9)
   }
 
   test("bigTheta formula matches its explicit sum") {
     val (lo, hi, n) = (0.2, 0.8, 6)
     val expected = (1 to n - 2).map(i => math.pow(hi, i) - math.pow(lo, i)).sum / (hi - lo)
-    assert(math.abs(bigThetaStd(lo, hi, n) - expected) < 1e-12)
+    assert(math.abs(bigTheta(lo, hi, n) - expected) < 1e-12)
   }
 
   test("COM bounds never exceed STD bounds when m <= s") {
@@ -41,7 +41,7 @@ class RobustnessSpec extends AnyFunSuite {
       val mMin = rng.nextDouble() * 0.5
       val fo   = 1 + rng.nextDouble() * 9
       val sMin = mMin * fo
-      assert(thetaCom(mMin, 8) <= thetaStd(sMin, 8) + 1e-12)
+      assert(theta(mMin, 8) <= theta(sMin, 8) + 1e-12)
     }
   }
 
@@ -52,7 +52,7 @@ class RobustnessSpec extends AnyFunSuite {
       val stat  = Seq.fill(nSats)(0.05 + rng.nextDouble() * 0.9)
       if (stat.max - stat.min > 1e-6) {
         val dev   = maxDeviation(stat)
-        val bound = bigThetaStd(stat.min, stat.max, nSats + 1)
+        val bound = bigTheta(stat.min, stat.max, nSats + 1)
         assert(dev <= bound + 1e-9, s"dev=$dev bound=$bound stats=$stat")
       }
     }

@@ -124,6 +124,16 @@ class SurvivalSpec extends AnyFunSuite {
     assert(math.abs(got - expected) < 1e-9)
   }
 
+  test("BVP probes into R6 after R2..R5: the path node R5 expands, BV(R6) filters") {
+    val eps = 0.05
+    // R5 lies on the path to R6, so it contributes m5 fo5 rather than a
+    // branch survival; R6's own bitvector contributes (m6 + eps).
+    val expected =
+      N * m2 * (1 - math.pow(1 - m3 * m4, fo2)) * (m5 * fo5) * math.min(1, m6 + eps)
+    val got = probesCom(tree, mask(1, 2, 3, 4), 5, Some(eps))
+    assert(math.abs(got - expected) < 1e-9)
+  }
+
   test("BVP branch survival counts pending children at (m+eps)") {
     val eps = 0.02
     // eval {R2, R3}: branch {1,2} with pending child R4 under R2.
