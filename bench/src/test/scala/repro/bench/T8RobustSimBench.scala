@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.exp.{T8RobustSim, Tables}
+import repro.exp.T8RobustSim
 
 /** T8 / paper Fig 6: robustness of plan choice to estimation errors,
   * star-10, 100 samples per cell. Paper shape: under high errors the

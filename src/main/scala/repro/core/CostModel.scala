@@ -1,14 +1,19 @@
 package repro.core
 
-/** The six execution approaches compared throughout the paper (§4.1). */
-sealed trait Approach { def usesCom: Boolean; def name: String }
+/** The six execution approaches compared throughout the paper (§4.1): a
+  * flat (STD) or factorized (COM) probe pipeline, optionally behind a
+  * pre-filter, BVP's bitvectors (§3.5) or SJ's phase-1 full reduction
+  * (§3.6).
+  */
+sealed abstract class Approach(val name: String, val bitvectors: Boolean,
+                               val semiJoins: Boolean, val usesCom: Boolean)
 object Approach {
-  case object Std    extends Approach { val usesCom = false; val name = "STD"     }
-  case object Com    extends Approach { val usesCom = true;  val name = "COM"     }
-  case object BvpStd extends Approach { val usesCom = false; val name = "BVP+STD" }
-  case object BvpCom extends Approach { val usesCom = true;  val name = "BVP+COM" }
-  case object SjStd  extends Approach { val usesCom = false; val name = "SJ+STD"  }
-  case object SjCom  extends Approach { val usesCom = true;  val name = "SJ+COM"  }
+  case object Std    extends Approach("STD",     bitvectors = false, semiJoins = false, usesCom = false)
+  case object Com    extends Approach("COM",     bitvectors = false, semiJoins = false, usesCom = true)
+  case object BvpStd extends Approach("BVP+STD", bitvectors = true,  semiJoins = false, usesCom = false)
+  case object BvpCom extends Approach("BVP+COM", bitvectors = true,  semiJoins = false, usesCom = true)
+  case object SjStd  extends Approach("SJ+STD",  bitvectors = false, semiJoins = true,  usesCom = false)
+  case object SjCom  extends Approach("SJ+COM",  bitvectors = false, semiJoins = true,  usesCom = true)
   val all: Seq[Approach] = Seq(Std, Com, BvpStd, BvpCom, SjStd, SjCom)
 }
 
@@ -32,7 +37,8 @@ final case class PlanCost(htProbes: Double, bvProbes: Double,
 object PlanCost { val zero: PlanCost = PlanCost(0, 0, 0, 0) }
 
 /** Estimated cost of a left-deep plan (a join order over a rooted join
-  * tree) under each of the six approaches (§3.3–§3.6).
+  * tree) under each of the six approaches (§3.3–§3.6): one STD fold and
+  * one COM fold, composed with the approach's pre-filter by `cost`.
   *
   * Conventions:
   *  - `order` is the permutation of relations 1..n-1 (driver excluded),
@@ -61,25 +67,24 @@ object CostModel {
     }
   }
 
-  /** STD (§2.1): probes into the k-th relation = N × Π_{j<k} s_j; every
-    * join's output tuples are materialized (generation cost).
+  /** The cost of `order` under `approach` (§3.3–§3.6), composed from its
+    * pre-filter and its probe pipeline. SJ runs phase 2 on the reduced tree
+    * (all m = 1, adjusted fanouts) and adds the phase-1 semi-join probes;
+    * BVP sets ε for the fold's bitvector sweeps; then the STD or COM fold
+    * charges the probes. COM's flat output expands the original tree's OUT
+    * tuples (reduction never changes OUT).
     */
-  def std(tree: JoinTree, order: Seq[Int]): PlanCost = {
+  def cost(tree: JoinTree, order: Seq[Int], approach: Approach,
+           flatOutput: Boolean = true, eps: Double = DefaultEps): PlanCost = {
     validateOrder(tree, order)
-    var t      = tree.driverSize
-    var probes = 0.0
-    var gen    = 0.0
-    for (l <- order) {
-      probes += tree.probeCost(l) * t
-      t *= tree.stats(l).s
-      gen += t
-    }
-    PlanCost(probes, 0, 0, gen)
+    val probed = if (approach.semiJoins) SemiJoinModel.reducedTree(tree) else tree
+    val e      = if (approach.bitvectors) Some(eps) else None
+    val pipe   =
+      if (approach.usesCom)
+        comFamily(probed, order, e).copy(genTuples = if (flatOutput) tree.expectedOutput else 0.0)
+      else stdFamily(probed, order, e)
+    if (approach.semiJoins) pipe.copy(semiProbes = SemiJoinModel.phase1Probes(tree)) else pipe
   }
-
-  /** COM (§3.3): Eq. (1) probes; generation only at the final expansion. */
-  def com(tree: JoinTree, order: Seq[Int], flatOutput: Boolean): PlanCost =
-    comFamily(tree, order, flatOutput, None)
 
   /** One bitvector sweep (§3.5): the bitvectors of `of`'s children, applied
     * in ascending node order to `count` rows. Each is charged the rows it
@@ -92,37 +97,29 @@ object CostModel {
     t
   }
 
-  /** BVP+STD (§3.5): a stateful sweep over the flat stream. Bitvectors of a
-    * relation become available the moment its parent is joined (for
-    * children of the driver: before any join) and are applied immediately,
-    * in ascending node order. A tuple reaching relation l's hash table has
-    * already passed BV(l), so the conditional match probability is
-    * m / (m + ε).
+  /** STD (§2.1, `eps = None`) and BVP+STD (§3.5, `Some(ε)`) over the flat
+    * stream: probes into the k-th relation = N × Π_{j<k} s_j, and every
+    * join's output tuples are materialized (generation cost). With ε, a
+    * stateful bitvector sweep: the bitvectors of a relation become
+    * available the moment its parent is joined (for children of the
+    * driver: before any join) and are applied immediately, in ascending
+    * node order. A tuple reaching relation l's hash table has already
+    * passed BV(l), so its conditional match probability is m / (m + ε).
     */
-  def bvpStd(tree: JoinTree, order: Seq[Int], eps: Double = DefaultEps): PlanCost = {
-    validateOrder(tree, order)
-    var bvP = 0.0
-    var htP = 0.0
+  private def stdFamily(tree: JoinTree, order: Seq[Int], eps: Option[Double]): PlanCost = {
+    var bv  = 0.0
+    var ht  = 0.0
     var gen = 0.0
-    var t   = bvSweep(tree, 0, tree.driverSize, eps)(bvP += _)
+    var t   = eps.fold(tree.driverSize)(e => bvSweep(tree, 0, tree.driverSize, e)(bv += _))
     for (l <- order) {
-      htP += tree.probeCost(l) * t
-      val st   = tree.stats(l)
-      val pass = math.min(1.0, st.m + eps)
-      t *= (st.m / pass) * st.fo
+      ht += tree.probeCost(l) * t
+      val st = tree.stats(l)
+      t *= eps.fold(st.s)(e => (st.m / math.min(1.0, st.m + e)) * st.fo)
       gen += t
-      t = bvSweep(tree, l, t, eps)(bvP += _)
+      eps.foreach(e => t = bvSweep(tree, l, t, e)(bv += _))
     }
-    PlanCost(htP, bvP, 0, gen)
+    PlanCost(ht, bv, 0, gen)
   }
-
-  /** BVP+COM (§3.5): Eq. (1) with (m+ε) factors for pending bitvectors;
-    * bitvector probes are charged against the entry count at the owning
-    * level at application time.
-    */
-  def bvpCom(tree: JoinTree, order: Seq[Int], flatOutput: Boolean,
-             eps: Double = DefaultEps): PlanCost =
-    comFamily(tree, order, flatOutput, Some(eps))
 
   /** The cost of joining `l` next after the evaluated set `evalMask`, under
     * COM (`eps = None`) or BVP+COM (`Some(ε)`): c_l × Eq. (1) hash probes
@@ -149,47 +146,18 @@ object CostModel {
     bv
   }
 
-  /** COM and BVP+COM: the driver sweep when ε is set, then `comStep` per
-    * join.
+  /** COM (§3.3, `eps = None`) and BVP+COM (§3.5, `Some(ε)`): the driver
+    * sweep when ε is set, then `comStep` per join. Bitvector probes are
+    * charged against the entry count at the owning level at application
+    * time. No generation: `cost` adds the final expansion.
     */
-  private def comFamily(tree: JoinTree, order: Seq[Int], flatOutput: Boolean,
-                        eps: Option[Double]): PlanCost = {
-    validateOrder(tree, order)
+  private def comFamily(tree: JoinTree, order: Seq[Int], eps: Option[Double]): PlanCost = {
     var eval = 1
     var cost = PlanCost(0, eps.fold(0.0)(driverSweep(tree, _)), 0, 0)
     for (l <- order) {
       cost += comStep(tree, eval, l, eps)
       eval |= bit(l)
     }
-    cost.copy(genTuples = if (flatOutput) tree.expectedOutput else 0.0)
+    cost
   }
-
-  /** SJ+STD / SJ+COM (§3.6): phase-1 semi-join probes plus a phase-2 STD or
-    * COM run over the reduced tree (all m = 1, adjusted fanouts).
-    */
-  def sj(tree: JoinTree, phase2Order: Seq[Int], useCom: Boolean,
-         flatOutput: Boolean): PlanCost = {
-    validateOrder(tree, phase2Order)
-    val semi = SemiJoinModel.phase1Probes(tree)
-    val rt   = SemiJoinModel.reducedTree(tree)
-    val p2   =
-      if (useCom) com(rt, phase2Order, flatOutput = false)
-      else std(rt, phase2Order)
-    // Phase-2 COM expansion must expand the *true* output, not the reduced
-    // tree's estimate (they coincide: reduction never changes OUT).
-    val gen = if (useCom) { if (flatOutput) tree.expectedOutput else 0.0 } else p2.genTuples
-    PlanCost(p2.htProbes, 0, semi, gen)
-  }
-
-  /** Dispatch on approach. */
-  def cost(tree: JoinTree, order: Seq[Int], approach: Approach,
-           flatOutput: Boolean = true, eps: Double = DefaultEps): PlanCost =
-    approach match {
-      case Approach.Std    => std(tree, order)
-      case Approach.Com    => com(tree, order, flatOutput)
-      case Approach.BvpStd => bvpStd(tree, order, eps)
-      case Approach.BvpCom => bvpCom(tree, order, flatOutput, eps)
-      case Approach.SjStd  => sj(tree, order, useCom = false, flatOutput)
-      case Approach.SjCom  => sj(tree, order, useCom = true, flatOutput)
-    }
 }

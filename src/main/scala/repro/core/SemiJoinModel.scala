@@ -94,15 +94,13 @@ object SemiJoinModel {
                  tree.driverSize * red(0))
   }
 
-  /** Optimal phase-2 join order for SJ+STD: rank ordering degenerates to
-    * ascending adjusted fanout (all match probabilities are 1), subject to
-    * precedence. Implemented as a greedy eligible-min selection, which is
-    * optimal for the ASI-obeying phase-2 cost function.
+  /** Optimal phase-2 join order for SJ+STD: rank ordering on the reduced
+    * tree, where every match probability is 1, so the rank degenerates to
+    * ascending adjusted fanout, subject to precedence. Optimal for the
+    * ASI-obeying phase-2 cost function.
     */
-  def phase2OrderStd(tree: JoinTree): List[Int] = {
-    val rt = reducedTree(tree)
-    Optimizer.buildOrder(rt)((el, _) => el.minBy(l => (rt.stats(l).fo - 1.0) / rt.probeCost(l)))
-  }
+  def phase2OrderStd(tree: JoinTree): List[Int] =
+    Optimizer.greedy(reducedTree(tree), Optimizer.Heuristic.RankOrdering)
 
   /** Phase-2 join order for SJ+COM. By Theorem 3.5 the COM cost is
     * order-independent once all match probabilities are 1; we emit the

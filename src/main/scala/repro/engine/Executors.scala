@@ -19,8 +19,6 @@ final case class ExecResult(flat: Option[DataFrame], log: ProbeLog)
   * exact-filter analog of the paper's bitvector (ε = 0); see DESIGN.md §3.
   */
 object Engine {
-  import Approach._
-
   /** Runs `approach` over `q` in `order` (for SJ, the phase-2 order).
     *
     * Probes into relation l's hash table = rows entering its join: the flat
@@ -39,7 +37,6 @@ object Engine {
 
   private final class Execution(q: TreeQuery, approach: Approach, counting: Boolean) {
     val t    = q.tree
-    val bvp  = approach == BvpStd || approach == BvpCom
     var ht   = Map.empty[Int, Long]
     var bv   = 0L
     var semi = 0L
@@ -64,11 +61,12 @@ object Engine {
       * i's children, applied as soon as i's join attribute exists.
       */
     def bitvectors(i: Int, df: DataFrame): DataFrame =
-      if (bvp) reduce(df, t.children(i), q.rels, d => if (counting) bv += d.count()) else df
+      if (!approach.bitvectors) df
+      else reduce(df, t.children(i), q.rels, d => if (counting) bv += d.count())
 
     def run(order: Seq[Int], flatOutput: Boolean): ExecResult = {
       val t0          = System.nanoTime()
-      val rels        = if (approach == SjStd || approach == SjCom) phase1() else q.rels
+      val rels        = if (approach.semiJoins) phase1() else q.rels
       val (flat, out) = if (approach.usesCom) com(rels, order, flatOutput) else std(rels, order)
       ExecResult(flat, ProbeLog(ht, bv, semi, out, (System.nanoTime() - t0) / 1000000L))
     }

@@ -1,6 +1,6 @@
 package repro.engine
 
-import repro.core.Weights
+import repro.core.{PlanCost, Weights}
 
 /** Measured unit-operation counts of one plan execution — the paper's
   * abstract cost metric (§5: "the number of probes into the hash tables",
@@ -15,7 +15,9 @@ final case class ProbeLog(
 ) {
   def totalHt: Long = htProbes.values.sum
 
-  /** Weighted probe total, comparable to `PlanCost.total`. */
+  /** Weighted probe total: `PlanCost.total` of the measured counts, with
+    * the output rows as generated tuples.
+    */
   def weighted(w: Weights): Double =
-    w.probe * totalHt + w.bv * bvProbes + w.semi * semiProbes + w.gen * outRows
+    PlanCost(totalHt.toDouble, bvProbes.toDouble, semiProbes.toDouble, outRows.toDouble).total(w)
 }

@@ -19,7 +19,7 @@ object T1JoinOrderOpt {
   final case class Result(mRange: (Double, Double), heuristic: String, ratios: Seq[Double])
 
   def comCost(tree: JoinTree, order: Seq[Int]): Double =
-    CostModel.com(tree, order, flatOutput = false).htProbes
+    CostModel.cost(tree, order, Approach.Com, flatOutput = false).htProbes
 
   def run(trees: Int = 100, maxNodes: Int = 18, seed: Long = 1L): Seq[Result] = {
     mRanges.flatMap { mr =>

@@ -62,9 +62,6 @@ final case class ManyToManyReorder(statsOf: (String, String) => Option[EdgeStats
     hits match { case List(i) => Some(i); case _ => None }
   }
 
-  /** Column name by which an attribute is known (for stats lookup). */
-  private def nameOf(a: AttributeReference): String = a.name
-
   override def apply(plan: LogicalPlan): LogicalPlan = plan.transformDown {
     case j: Join if j.joinType == Inner && j.getTagValue(reorderedTag).isEmpty =>
       rewrite(j).getOrElse(j)
@@ -86,8 +83,8 @@ final case class ManyToManyReorder(statsOf: (String, String) => Option[EdgeStats
           (ownerOf(leaves, a), ownerOf(leaves, b)) match {
             case (Some(x), Some(y)) if x != y =>
               val (child, par, pc, cc) =
-                if (x == i) (x, y, nameOf(b), nameOf(a))
-                else if (y == i) (y, x, nameOf(a), nameOf(b))
+                if (x == i) (x, y, b.name, a.name)
+                else if (y == i) (y, x, a.name, b.name)
                 else return None // condition does not attach the new leaf
               if (par >= child) return None
               parent(child) = par

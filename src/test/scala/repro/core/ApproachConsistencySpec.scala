@@ -26,8 +26,8 @@ class ApproachConsistencySpec extends AnyFunSuite {
     for (_ <- 0 until 20) {
       val t = randomTree(rng)
       val o = survOrder(t)
-      val bvp = CostModel.bvpCom(t, o, flatOutput = false, eps = 1.0).htProbes
-      val com = CostModel.com(t, o, flatOutput = false).htProbes
+      val bvp = CostModel.cost(t, o, Approach.BvpCom, flatOutput = false, eps = 1.0).htProbes
+      val com = CostModel.cost(t, o, Approach.Com, flatOutput = false).htProbes
       assert(math.abs(bvp - com) < 1e-6 * math.max(1.0, com))
     }
   }
@@ -37,8 +37,8 @@ class ApproachConsistencySpec extends AnyFunSuite {
     for (_ <- 0 until 20) {
       val t = randomTree(rng)
       val o = survOrder(t)
-      val bvp = CostModel.bvpStd(t, o, eps = 1.0).htProbes
-      val std = CostModel.std(t, o).htProbes
+      val bvp = CostModel.cost(t, o, Approach.BvpStd, eps = 1.0).htProbes
+      val std = CostModel.cost(t, o, Approach.Std).htProbes
       assert(math.abs(bvp - std) < 1e-6 * math.max(1.0, std))
     }
   }
@@ -48,9 +48,9 @@ class ApproachConsistencySpec extends AnyFunSuite {
     for (_ <- 0 until 20) {
       val t = randomTree(rng)
       val o = survOrder(t)
-      val a = CostModel.bvpCom(t, o, flatOutput = false, eps = 0.0).htProbes
-      val b = CostModel.bvpCom(t, o, flatOutput = false, eps = 0.1).htProbes
-      val c = CostModel.bvpCom(t, o, flatOutput = false, eps = 0.5).htProbes
+      val a = CostModel.cost(t, o, Approach.BvpCom, flatOutput = false, eps = 0.0).htProbes
+      val b = CostModel.cost(t, o, Approach.BvpCom, flatOutput = false, eps = 0.1).htProbes
+      val c = CostModel.cost(t, o, Approach.BvpCom, flatOutput = false, eps = 0.5).htProbes
       assert(a <= b + 1e-9 && b <= c + 1e-9)
     }
   }
@@ -60,8 +60,8 @@ class ApproachConsistencySpec extends AnyFunSuite {
     for (_ <- 0 until 30) {
       val t = randomTree(rng)
       val o = survOrder(t)
-      val bvp = CostModel.bvpCom(t, o, flatOutput = false, eps = 0.01).htProbes
-      val com = CostModel.com(t, o, flatOutput = false).htProbes
+      val bvp = CostModel.cost(t, o, Approach.BvpCom, flatOutput = false, eps = 0.01).htProbes
+      val com = CostModel.cost(t, o, Approach.Com, flatOutput = false).htProbes
       assert(bvp <= com + 1e-9)
     }
   }
@@ -72,8 +72,8 @@ class ApproachConsistencySpec extends AnyFunSuite {
     for (_ <- 0 until 30) {
       val t = randomTree(rng)
       val o = survOrder(t)
-      val sj  = CostModel.sj(t, o, useCom = true, flatOutput = false).htProbes
-      val com = CostModel.com(t, o, flatOutput = false).htProbes
+      val sj  = CostModel.cost(t, o, Approach.SjCom, flatOutput = false).htProbes
+      val com = CostModel.cost(t, o, Approach.Com, flatOutput = false).htProbes
       assert(sj <= com + 1e-6 * math.max(1.0, com))
     }
   }
@@ -101,7 +101,7 @@ class ApproachConsistencySpec extends AnyFunSuite {
   test("driver-level bitvector sweep is charged once per driver child") {
     val t = JoinTree.star(4, Seq(EdgeStats(0.5, 2), EdgeStats(0.5, 2), EdgeStats(0.5, 2)),
       driverSize = 100)
-    val c = CostModel.bvpStd(t, Seq(1, 2, 3), eps = 0.0)
+    val c = CostModel.cost(t, Seq(1, 2, 3), Approach.BvpStd, eps = 0.0)
     // bv probes: 100 + 50 + 25 = 175
     assert(math.abs(c.bvProbes - 175.0) < 1e-9)
   }
@@ -110,8 +110,8 @@ class ApproachConsistencySpec extends AnyFunSuite {
     val o = Seq(1, 2, 3)
     val a = JoinTree.star(4, Seq(EdgeStats(0.5, 1), EdgeStats(0.3, 1), EdgeStats(0.7, 1)), 100)
     val b = JoinTree.star(4, Seq(EdgeStats(0.5, 9), EdgeStats(0.3, 4), EdgeStats(0.7, 2)), 100)
-    val ca = CostModel.com(a, o, flatOutput = false).htProbes
-    val cb = CostModel.com(b, o, flatOutput = false).htProbes
+    val ca = CostModel.cost(a, o, Approach.Com, flatOutput = false).htProbes
+    val cb = CostModel.cost(b, o, Approach.Com, flatOutput = false).htProbes
     assert(math.abs(ca - cb) < 1e-9)
   }
 
@@ -119,7 +119,8 @@ class ApproachConsistencySpec extends AnyFunSuite {
     val o = Seq(1, 2, 3)
     val a = JoinTree.star(4, Seq(EdgeStats(0.5, 1), EdgeStats(0.3, 1), EdgeStats(0.7, 1)), 100)
     val b = JoinTree.star(4, Seq(EdgeStats(0.5, 9), EdgeStats(0.3, 4), EdgeStats(0.7, 2)), 100)
-    assert(CostModel.std(b, o).htProbes > 2 * CostModel.std(a, o).htProbes)
+    assert(CostModel.cost(b, o, Approach.Std).htProbes >
+      2 * CostModel.cost(a, o, Approach.Std).htProbes)
   }
 
   test("exhaustive DP with STD step cost agrees with greedy rank ordering on stars") {
@@ -130,7 +131,8 @@ class ApproachConsistencySpec extends AnyFunSuite {
       val t = JoinTree.star(6,
         Seq.fill(5)(EdgeStats(0.1 + rng.nextDouble() * 0.8, 1 + rng.nextDouble() * 5)), 100)
       val (_, dp) = Optimizer.exhaustive(t, stdStep(t))
-      val g = CostModel.std(t, Optimizer.greedy(t, Optimizer.Heuristic.RankOrdering)).htProbes
+      val g = CostModel.cost(t, Optimizer.greedy(t, Optimizer.Heuristic.RankOrdering),
+        Approach.Std).htProbes
       assert(math.abs(dp - g) < 1e-6 * math.max(1.0, g))
     }
   }
@@ -138,9 +140,9 @@ class ApproachConsistencySpec extends AnyFunSuite {
   test("weighted totals rank SJ phase-1 against its savings consistently") {
     // Sanity: SJ never reports negative components.
     val rng = new Random(101)
-    for (_ <- 0 until 20; useCom <- Seq(true, false)) {
+    for (_ <- 0 until 20; a <- Seq(Approach.SjCom, Approach.SjStd)) {
       val t = randomTree(rng)
-      val c = CostModel.sj(t, survOrder(t), useCom, flatOutput = true)
+      val c = CostModel.cost(t, survOrder(t), a, flatOutput = true)
       assert(c.htProbes >= 0 && c.semiProbes >= 0 && c.genTuples >= 0)
     }
   }

@@ -38,8 +38,8 @@ class CorePropertiesSpec extends AnyFunSuite {
   test("property: COM probes are bounded by STD probes for every order") {
     for ((tree, s) <- samples(treeAndSeed, 50)) {
       val order = Optimizer.randomOrder(tree, new Random(s))
-      val com = CostModel.com(tree, order, flatOutput = false).htProbes
-      val std = CostModel.std(tree, order).htProbes
+      val com = CostModel.cost(tree, order, Approach.Com, flatOutput = false).htProbes
+      val std = CostModel.cost(tree, order, Approach.Std).htProbes
       assert(com <= std + 1e-6)
     }
   }
@@ -71,7 +71,8 @@ class CorePropertiesSpec extends AnyFunSuite {
     for (tree <- samples(treeGen, 30)) {
       val (_, opt) = Optimizer.exhaustiveCom(tree)
       for (h <- Optimizer.Heuristic.all) {
-        val c = CostModel.com(tree, Optimizer.greedy(tree, h), flatOutput = false).htProbes
+        val c = CostModel.cost(tree, Optimizer.greedy(tree, h), Approach.Com,
+          flatOutput = false).htProbes
         assert(c >= opt - 1e-6 * math.max(1.0, opt))
       }
     }
@@ -80,7 +81,7 @@ class CorePropertiesSpec extends AnyFunSuite {
   test("property: exhaustive DP cost is a lower bound on random orders") {
     for ((tree, s) <- samples(treeAndSeed, 50)) {
       val (_, opt) = Optimizer.exhaustiveCom(tree)
-      val c = CostModel.com(tree, Optimizer.randomOrder(tree, new Random(s)),
+      val c = CostModel.cost(tree, Optimizer.randomOrder(tree, new Random(s)), Approach.Com,
         flatOutput = false).htProbes
       assert(c >= opt - 1e-6 * math.max(1.0, opt))
     }
@@ -106,8 +107,8 @@ class CorePropertiesSpec extends AnyFunSuite {
   test("property: BVP+STD with eps=0 never exceeds STD hash probes") {
     for ((tree, s) <- samples(treeAndSeed, 50)) {
       val order = Optimizer.randomOrder(tree, new Random(s))
-      val bvp = CostModel.bvpStd(tree, order, eps = 0.0).htProbes
-      val std = CostModel.std(tree, order).htProbes
+      val bvp = CostModel.cost(tree, order, Approach.BvpStd, eps = 0.0).htProbes
+      val std = CostModel.cost(tree, order, Approach.Std).htProbes
       assert(bvp <= std + 1e-6)
     }
   }
@@ -117,8 +118,8 @@ class CorePropertiesSpec extends AnyFunSuite {
       val t = new JoinTree(tree0.parent,
         tree0.stats.map(e => EdgeStats(e.m, 1.0)), tree0.probeCost, tree0.driverSize)
       val order = Optimizer.greedy(t, Optimizer.Heuristic.SurvivalProb)
-      val com = CostModel.com(t, order, flatOutput = false).htProbes
-      val std = CostModel.std(t, order).htProbes
+      val com = CostModel.cost(t, order, Approach.Com, flatOutput = false).htProbes
+      val std = CostModel.cost(t, order, Approach.Std).htProbes
       assert(math.abs(com - std) < 1e-6)
     }
   }

@@ -6,7 +6,7 @@ import scala.util.Random
 class OptimizerSpec extends AnyFunSuite {
 
   private def comCost(tree: JoinTree)(order: Seq[Int]): Double =
-    CostModel.com(tree, order, flatOutput = false).htProbes
+    CostModel.cost(tree, order, Approach.Com, flatOutput = false).htProbes
 
   test("exhaustive DP equals brute force for COM cost on random trees") {
     val rng = new Random(13)
@@ -25,7 +25,7 @@ class OptimizerSpec extends AnyFunSuite {
     val w   = Weights()
     val eps = 0.05
     def orderCost(tree: JoinTree)(order: Seq[Int]): Double = {
-      val c = CostModel.bvpCom(tree, order, flatOutput = false, eps)
+      val c = CostModel.cost(tree, order, Approach.BvpCom, flatOutput = false, eps = eps)
       c.htProbes + w.bv * c.bvProbes
     }
     for (i <- 0 until 20) {

@@ -121,10 +121,10 @@ class SemiJoinModelSpec extends AnyFunSuite {
 
   test("Thm 3.5: SJ+COM phase-2 probe cost is join-order independent") {
     val rng  = new Random(5)
-    val base = CostModel.sj(tree, phase2OrderCom(tree), useCom = true, flatOutput = false)
+    val base = CostModel.cost(tree, phase2OrderCom(tree), Approach.SjCom, flatOutput = false)
     for (_ <- 0 until 20) {
       val o = Optimizer.randomOrder(tree, rng)
-      val c = CostModel.sj(tree, o, useCom = true, flatOutput = false)
+      val c = CostModel.cost(tree, o, Approach.SjCom, flatOutput = false)
       assert(math.abs(c.htProbes - base.htProbes) < 1e-6 * math.max(1.0, base.htProbes))
     }
   }
@@ -132,7 +132,7 @@ class SemiJoinModelSpec extends AnyFunSuite {
   test("SJ+STD phase-2 cost does depend on the order (unlike COM)") {
     val rng = new Random(5)
     val costs = (0 until 20).map { _ =>
-      CostModel.sj(tree, Optimizer.randomOrder(tree, rng), useCom = false,
+      CostModel.cost(tree, Optimizer.randomOrder(tree, rng), Approach.SjStd,
         flatOutput = false).htProbes
     }
     assert(costs.distinct.length > 1)
@@ -140,9 +140,9 @@ class SemiJoinModelSpec extends AnyFunSuite {
 
   test("phase2OrderStd minimizes SJ+STD probe cost over random orders") {
     val rng  = new Random(9)
-    val best = CostModel.sj(tree, phase2OrderStd(tree), useCom = false, flatOutput = false)
+    val best = CostModel.cost(tree, phase2OrderStd(tree), Approach.SjStd, flatOutput = false)
     for (_ <- 0 until 50) {
-      val c = CostModel.sj(tree, Optimizer.randomOrder(tree, rng), useCom = false,
+      val c = CostModel.cost(tree, Optimizer.randomOrder(tree, rng), Approach.SjStd,
         flatOutput = false)
       assert(best.htProbes <= c.htProbes + 1e-6)
     }

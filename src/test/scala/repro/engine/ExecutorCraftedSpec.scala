@@ -1,7 +1,7 @@
 package repro.engine
 
 import repro.SparkSpec
-import repro.core.{Approach, EdgeStats, JoinTree}
+import repro.core.{Approach, JoinTree}
 import repro.data.TreeQuery
 
 /** Executor semantics on a hand-crafted dataset where every probe count is

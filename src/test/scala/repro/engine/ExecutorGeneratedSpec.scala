@@ -61,7 +61,7 @@ class ExecutorGeneratedSpec extends SparkSpec {
     val mt    = TreeData.measuredTree(q)
     val order = Seq(1, 2, 3)
     val log   = Engine.run(q, order, Approach.Std).log
-    val model = CostModel.std(mt, order)
+    val model = CostModel.cost(mt, order, Approach.Std)
     assert(math.abs(log.totalHt - model.htProbes) / model.htProbes < 0.10,
       s"measured ${log.totalHt} model ${model.htProbes}")
   }
@@ -75,7 +75,7 @@ class ExecutorGeneratedSpec extends SparkSpec {
     val mt    = TreeData.measuredTree(q)
     val order = Seq(1, 2, 4, 3, 5)
     val log   = Engine.run(q, order, Approach.Com).log
-    val model = CostModel.com(mt, order, flatOutput = false)
+    val model = CostModel.cost(mt, order, Approach.Com, flatOutput = false)
     assert(math.abs(log.totalHt - model.htProbes) / model.htProbes < 0.15,
       s"measured ${log.totalHt} model ${model.htProbes}")
   }

@@ -1,8 +1,9 @@
 package repro.rules
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.catalyst.plans.LeftSemi
-import org.apache.spark.sql.catalyst.plans.logical.Join
+import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.catalyst.plans.{Inner, LeftSemi}
+import org.apache.spark.sql.catalyst.plans.logical.{Join, LogicalPlan}
+import org.apache.spark.sql.catalyst.rules.Rule
 import org.apache.spark.sql.functions.col
 import repro.SparkSpec
 import repro.core.{EdgeStats, JoinTree}
@@ -23,15 +24,17 @@ class RulesSpec extends SparkSpec {
     Seq((0, 0.3, 3.0), (0, 0.6, 1.5), (1, 0.5, 2.0)), driverSize = 1500)
   private lazy val q = TreeData.generate(spark, tree, seed = 41L)
 
-  private def chain(order: Seq[Int]): DataFrame = {
+  /** The equi-join condition attaching relation l to its parent. */
+  private def cond(l: Int): Column = col(q.parentCol(l)) === col(q.childCol(l))
+
+  private def chain(order: Seq[Int], on: Int => Column = cond): DataFrame = {
     var cur = q.rels(0)
     for (l <- order)
-      cur = cur.join(q.rels(l), col(q.parentCol(l)) === col(q.childCol(l)))
+      cur = cur.join(q.rels(l), on(l))
     cur.select(q.outputCols.map(col): _*)
   }
 
-  private def withRules[A](rules: org.apache.spark.sql.catalyst.rules.Rule[
-      org.apache.spark.sql.catalyst.plans.logical.LogicalPlan]*)(body: => A): A = {
+  private def withRules[A](rules: Rule[LogicalPlan]*)(body: => A): A = {
     spark.experimental.extraOptimizations = rules
     try body finally spark.experimental.extraOptimizations = Nil
   }
@@ -104,11 +107,70 @@ class RulesSpec extends SparkSpec {
     }
   }
 
-  test("ManyToManyReorder leaves unknown-stats chains untouched") {
-    val rule = ManyToManyReorder((_, _) => None)
-    withRules(rule) {
-      repro.Oracle.assertEquivalent(chain(Seq(2, 1, 3)), q.flatSql, q.oracleTables: _*)
+  /** The relations whose key columns `p` outputs. */
+  private def relsOf(p: LogicalPlan): Set[Int] =
+    q.keyCol.indices.filter(i => p.output.exists(_.name == q.keyCol(i))).toSet
+
+  /** The relations each inner join of `df`'s optimized plan brings in on
+    * its right side, in execution (post-) order: for a left-deep chain, its
+    * join order after the driver.
+    */
+  private def joinOrder(df: DataFrame): Seq[Set[Int]] = {
+    def joins(p: LogicalPlan): Seq[Set[Int]] = p match {
+      case j: Join if j.joinType == Inner => joins(j.left) ++ joins(j.right) :+ relsOf(j.right)
+      case other                          => other.children.flatMap(joins)
     }
+    joins(df.queryExecution.optimizedPlan)
+  }
+
+  /** Under `rule`, `df` keeps the optimized plan Spark builds without it,
+    * its joins stay in the `written` order, and its result matches the
+    * oracle.
+    */
+  private def assertUntouched(df: => DataFrame, rule: ManyToManyReorder,
+                              written: Seq[Set[Int]]): Unit = {
+    val plain = df.queryExecution.optimizedPlan
+    withRules(rule) {
+      val d = df
+      assert(d.queryExecution.optimizedPlan.canonicalized == plain.canonicalized)
+      assert(joinOrder(d) == written)
+      repro.Oracle.assertEquivalent(d, q.flatSql, q.oracleTables: _*)
+    }
+  }
+
+  private val written = Seq(Set(2), Set(1), Set(3))
+
+  test("ManyToManyReorder leaves unknown-stats chains untouched") {
+    assertUntouched(chain(Seq(2, 1, 3)), ManyToManyReorder((_, _) => None), written)
+  }
+
+  test("ManyToManyReorder leaves a chain with a non-equi join condition untouched") {
+    // The middle join's condition is an equality AND a (here redundant)
+    // inequality, so no EqualTo chain of three or more relations is left.
+    val nonEqui = (l: Int) =>
+      if (l == 1) cond(l) && col(q.parentCol(l)) <= col(q.childCol(l)) else cond(l)
+    assertUntouched(chain(Seq(2, 1, 3), nonEqui), ManyToManyReorder(statsOf), written)
+  }
+
+  test("ManyToManyReorder leaves a bushy join untouched") {
+    // (R0 ⋈ R2) ⋈ (R1 ⋈ R3): the top join's right side is itself a join.
+    def bushy = q.rels(0).join(q.rels(2), cond(2))
+      .join(q.rels(1).join(q.rels(3), cond(3)), cond(1))
+      .select(q.outputCols.map(col): _*)
+    assertUntouched(bushy, ManyToManyReorder(statsOf), Seq(Set(2), Set(3), Set(1, 3)))
+  }
+
+  test("ManyToManyReorder is idempotent: its own output is left as it is") {
+    val rule = ManyToManyReorder(statsOf)
+    val chosen = withRules(rule) {
+      val df = chain(Seq(2, 1, 3))
+      val p1 = df.queryExecution.optimizedPlan
+      assert(joinOrder(df) != written, "the rule must reorder this chain")
+      assert(rule(p1).canonicalized == p1.canonicalized)
+      joinOrder(df)
+    }
+    // Written in the chosen order, the chain is already optimal.
+    assertUntouched(chain(chosen.map(_.head)), rule, chosen)
   }
 
   test("ManyToManyReorder composes with SemiJoinReduction") {
