@@ -124,17 +124,21 @@ object CostModel {
   /** The cost of joining `l` next after the evaluated set `evalMask`, under
     * COM (`eps = None`) or BVP+COM (`Some(ε)`): c_l × Eq. (1) hash probes
     * and, with ε, the bitvectors of l's children, which fire right after l
-    * joins and filter the entries at l's level. It depends only on
-    * (`evalMask`, l), which is why the principle of optimality holds
-    * (Thm 3.3) and Algorithm 1 applies.
+    * joins and filter the entries at l's level. Those entries are the
+    * probes times l's fanout and conditional match probability m / (m + ε):
+    * Eq. (1) already charged (m + ε) for BV(l), and the join resolves its
+    * false positives. The cost depends only on (`evalMask`, l), which is
+    * why the principle of optimality holds (Thm 3.3) and Algorithm 1
+    * applies.
     */
   def comStep(tree: JoinTree, evalMask: Int, l: Int, eps: Option[Double]): PlanCost = {
-    val ht = tree.probeCost(l) * Survival.probesCom(tree, evalMask, l, eps)
+    val p  = Survival.probesCom(tree, evalMask, l, eps)
     var bv = 0.0
     eps.foreach { e =>
-      bvSweep(tree, l, Survival.entriesAfterJoin(tree, evalMask | bit(l), l, eps), e)(bv += _)
+      val st = tree.stats(l)
+      bvSweep(tree, l, p * (st.m / math.min(1.0, st.m + e)) * st.fo, e)(bv += _)
     }
-    PlanCost(ht, bv, 0, 0)
+    PlanCost(tree.probeCost(l) * p, bv, 0, 0)
   }
 
   /** Bitvector probes of the driver's children, applied to the N driver

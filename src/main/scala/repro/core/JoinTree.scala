@@ -138,7 +138,7 @@ object JoinTree {
     require(stats.length == arms * (1 + sub))
     val edges = scala.collection.mutable.ListBuffer.empty[(Int, Double, Double)]
     var idx = 0
-    for (a <- 0 until arms) {
+    for (_ <- 0 until arms) {
       val armNode = edges.length + 1
       edges += ((0, stats(idx).m, stats(idx).fo)); idx += 1
       for (_ <- 0 until sub) {

@@ -22,7 +22,7 @@ object SemiJoinModel {
     * Never below 1: with fo near 1 and a tiny ratio, rounding alone can
     * give a value just under it.
     */
-  def adjustedFo(m: Double, fo: Double, ratio: Double): Double =
+  def adjustedFo(fo: Double, ratio: Double): Double =
     if (ratio >= 1.0) fo
     else {
       val denom = 1.0 - math.pow(1.0 - ratio, fo)
@@ -88,7 +88,7 @@ object SemiJoinModel {
   def reducedTree(tree: JoinTree): JoinTree = {
     val red = reductionRatios(tree)
     val st  = tree.stats.zipWithIndex.map { case (e, i) =>
-      if (i == 0) e else EdgeStats(1.0, adjustedFo(e.m, e.fo, red(i)))
+      if (i == 0) e else EdgeStats(1.0, adjustedFo(e.fo, red(i)))
     }
     new JoinTree(tree.parent.clone(), st, tree.probeCost.clone(),
                  tree.driverSize * red(0))

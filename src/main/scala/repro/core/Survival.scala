@@ -89,30 +89,4 @@ object Survival {
     // l itself is a pending child of parent(l): BV(l) counts with ε.
     along(tree.parent(l), -1)
   }
-
-  /** Expected number of *entries at relation `a`'s level* in the factorized
-    * representation immediately after `a`'s hash join completed, i.e. the
-    * probe count into `a` times its (conditional) selectivity. Used to cost
-    * bitvector applications in COM+BVP and "expected tuples" heuristics.
-    *
-    * For the driver (a = 0) this is just N filtered by the evaluated
-    * branches.
-    */
-  def entriesAfterJoin(tree: JoinTree, evalMaskAfter: Int, a: Int,
-                       eps: Option[Double] = None): Double = {
-    if (a == 0) tree.driverSize * treeSurvival(tree, evalMaskAfter, eps)
-    else {
-      val before = evalMaskAfter & ~bit(a)
-      val st     = tree.stats(a)
-      val p      = probesCom(tree, before, a, eps)
-      eps match {
-        case Some(e) =>
-          val pass = math.min(1.0, st.m + e)
-          // probesCom already charged (m+ε) for BV(a); the join resolves the
-          // false positives: conditional match probability m/(m+ε).
-          p * (st.m / pass) * st.fo
-        case None => p * st.m * st.fo
-      }
-    }
-  }
 }

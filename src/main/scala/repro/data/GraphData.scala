@@ -53,7 +53,7 @@ object GraphData {
     * estimates (distinct-value formulas of §3.2) so the optimizer has
     * something to work with, exactly like a real system would.
     */
-  def aliasQuery(spark: SparkSession, e: DataFrame, parents: Seq[Int]): TreeQuery = {
+  def aliasQuery(e: DataFrame, parents: Seq[Int]): TreeQuery = {
     val n = parents.length
     require(parents.head == -1)
     val rels = (0 until n).map { i =>

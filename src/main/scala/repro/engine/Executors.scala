@@ -65,10 +65,9 @@ object Engine {
       else reduce(df, t.children(i), q.rels, d => if (counting) bv += d.count())
 
     def run(order: Seq[Int], flatOutput: Boolean): ExecResult = {
-      val t0          = System.nanoTime()
       val rels        = if (approach.semiJoins) phase1() else q.rels
       val (flat, out) = if (approach.usesCom) com(rels, order, flatOutput) else std(rels, order)
-      ExecResult(flat, ProbeLog(ht, bv, semi, out, (System.nanoTime() - t0) / 1000000L))
+      ExecResult(flat, ProbeLog(ht, bv, semi, out))
     }
 
     /** SJ phase 1 (§4.5, Yannakakis §3.6): every internal node reduced

@@ -11,7 +11,6 @@ final case class ProbeLog(
     bvProbes: Long,
     semiProbes: Long,
     outRows: Long,
-    wallMs: Long,
 ) {
   def totalHt: Long = htProbes.values.sum
 

@@ -34,7 +34,6 @@ trait VsCom {
   /** Whether this is the COM run the ratios divide by. */
   def isBase: Boolean
   def status: String
-  def wallMs: Long
   def weighted: Double
 }
 
@@ -73,24 +72,20 @@ object Harness {
             else Some(Engine.run(q, order, a, counting = true, flatOutput = true).log))
     }
 
-  /** The T2/T3 table: each run's wall time and weighted probes, and both as
-    * ratios to the COM run of the same query.
+  /** The T2/T3 table: each run's weighted probes, and their ratio to the
+    * COM run of the same query.
     */
   def vsComTable(title: String, header: Seq[String], rows: Seq[VsCom]): Seq[String] = {
     val base = rows.collect { case r if r.isBase && r.status == "ok" => r.key -> r }.toMap
     val out = rows.map { r =>
-      val (rw, rp) = base.get(r.key) match {
-        case Some(c) if r.status == "ok" && c.wallMs > 0 && c.weighted > 0 =>
-          (r.wallMs.toDouble / c.wallMs, r.weighted / c.weighted)
-        case _ => (-1.0, -1.0)
+      val rp = base.get(r.key) match {
+        case Some(c) if r.status == "ok" && c.weighted > 0 => r.weighted / c.weighted
+        case _                                             => -1.0
       }
       r.cells ++ Seq(r.status,
-        if (r.status == "ok") r.wallMs.toString else "-",
         if (r.status == "ok") Tables.fmt(r.weighted) else "-",
-        if (rw > 0) Tables.fmt(rw) else "-",
         if (rp > 0) Tables.fmt(rp) else "-")
     }
-    Tables.render(title,
-      header ++ Seq("status", "wall ms", "weighted probes", "wall/COM", "probes/COM"), out)
+    Tables.render(title, header ++ Seq("status", "weighted probes", "probes/COM"), out)
   }
 }

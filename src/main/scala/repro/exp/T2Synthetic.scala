@@ -8,9 +8,9 @@ import repro.engine.{Engine, ProbeLog}
 /** T2 (paper Fig 11, §5.2): the synthetic benchmark. For each query shape ×
   * match-probability range we draw per-edge statistics, materialize the
   * dataset, execute all six approaches with the survival-probability order
-  * (the paper's default), and report wall-clock and weighted-probe ratios
-  * relative to COM — in flat-output mode and (for COM variants) in
-  * factorized-output mode.
+  * (the paper's default), and report weighted probes and their ratio to
+  * COM — in flat-output mode and (for COM variants) in factorized-output
+  * mode. Wall time is measured by `perfbench/`, not here.
   *
   * STD variants whose *estimated* cost exceeds `Harness.ProbeCap` are
   * reported as TIMEOUT, mirroring the paper's timed-out red data points;
@@ -29,8 +29,8 @@ object T2Synthetic {
   val Seed   = 5L
 
   final case class RunRow(shape: String, mRange: String, approach: String,
-                          outMode: String, status: String, wallMs: Long,
-                          weighted: Double) extends VsCom {
+                          outMode: String, status: String, weighted: Double)
+      extends VsCom {
     def key: (String, String) = (shape, mRange)
     def cells: Seq[String]    = Seq(shape, mRange, approach, outMode)
     def isBase: Boolean       = approach == "COM" && outMode == "flat"
@@ -56,8 +56,8 @@ object T2Synthetic {
         val label = s"[${mr._1},${mr._2}]"
         Harness.withCachedQuery(spark, tree, Seed + si * 97 + ri) { q =>
           def row(a: Approach, outMode: String, log: Option[ProbeLog]): RunRow = log match {
-            case None    => RunRow(shape.name, label, a.name, outMode, "TIMEOUT", -1L, -1.0)
-            case Some(l) => RunRow(shape.name, label, a.name, outMode, "ok", l.wallMs, l.weighted(w))
+            case None    => RunRow(shape.name, label, a.name, outMode, "TIMEOUT", -1.0)
+            case Some(l) => RunRow(shape.name, label, a.name, outMode, "ok", l.weighted(w))
           }
           val order = Optimizer.greedy(tree, Optimizer.Heuristic.SurvivalProb)
           val flat  = Harness.flatRuns(q, order).map { case (a, log) => row(a, "flat", log) }

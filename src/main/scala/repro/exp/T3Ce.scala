@@ -18,7 +18,7 @@ object T3Ce {
   val Seed   = 7L
 
   final case class RunRow(dataset: String, query: String, approach: String,
-                          status: String, wallMs: Long, weighted: Double) extends VsCom {
+                          status: String, weighted: Double) extends VsCom {
     def key: (String, String) = (dataset, query)
     def cells: Seq[String]    = Seq(dataset, query, approach)
     def isBase: Boolean       = approach == "COM"
@@ -57,13 +57,13 @@ object T3Ce {
       try GraphData.shapes.flatMap { case (qname, parents) =>
         val out = exactOut(collected, parents)
         if (out <= OutCap) {
-          val q     = GraphData.aliasQuery(spark, e, parents)
+          val q     = GraphData.aliasQuery(e, parents)
           val order = Optimizer.greedy(q.tree, Optimizer.Heuristic.SurvivalProb)
           Harness.flatRuns(q, order).map {
-            case (a, None)    => RunRow(cfg.name, qname, a.name, "TIMEOUT", -1L, -1.0)
-            case (a, Some(l)) => RunRow(cfg.name, qname, a.name, "ok", l.wallMs, l.weighted(w))
+            case (a, None)    => RunRow(cfg.name, qname, a.name, "TIMEOUT", -1.0)
+            case (a, Some(l)) => RunRow(cfg.name, qname, a.name, "ok", l.weighted(w))
           }
-        } else Seq(RunRow(cfg.name, qname, "(all)", s"SKIP out=${out.toLong}", -1L, -1.0))
+        } else Seq(RunRow(cfg.name, qname, "(all)", s"SKIP out=${out.toLong}", -1.0))
       } finally { e.unpersist(blocking = false); () }
     }
   }

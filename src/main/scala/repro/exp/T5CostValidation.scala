@@ -9,13 +9,13 @@ import repro.engine.Engine
 /** T5 (paper Fig 14, §5.5): does the cost model track real execution?
   * For several query shapes we draw random valid join orders, predict the
   * weighted cost of COM and STD from the *measured* per-edge statistics,
-  * execute, and report the correlation between (a) predicted cost and
-  * measured weighted probes, and (b) predicted cost and wall-clock time.
+  * execute, and report the correlation and relative error between
+  * predicted cost and measured weighted probes.
   */
 object T5CostValidation {
 
   final case class Point(query: String, approach: String, predicted: Double,
-                         measured: Double, wallMs: Long)
+                         measured: Double)
 
   val queries: Seq[Shape] = Seq(Shape.star(5), Shape.path(5), Shape.snow(2, 2))
   val approaches: Seq[Approach] = Seq(Approach.Com, Approach.Std)
@@ -35,8 +35,8 @@ object T5CostValidation {
         val orders = Seq.fill(NOrders)(Optimizer.randomOrder(tree, rng)).distinct
         for (order <- orders; a <- approaches) yield {
           val pred = CostModel.cost(mTree, order, a, flatOutput = true).total(w)
-          val res  = Engine.run(q, order, a, counting = true, flatOutput = true)
-          Point(shape.name, a.name, pred, res.log.weighted(w), res.log.wallMs)
+          val log  = Engine.run(q, order, a, counting = true, flatOutput = true).log
+          Point(shape.name, a.name, pred, log.weighted(w))
         }
       }
     }
@@ -51,14 +51,12 @@ object T5CostValidation {
       val relErr = sel.map(p => math.abs(p.predicted - p.measured) / math.max(p.measured, 1.0))
       Seq(q, a, sel.length.toString,
         Tables.fmt(Tables.pearson(sel.map(_.predicted), sel.map(_.measured))),
-        Tables.fmt(Tables.pearson(sel.map(_.predicted), sel.map(_.wallMs.toDouble))),
         Tables.fmt(Tables.percentile(relErr, 50)),
         Tables.fmt(Tables.percentile(relErr, 90)))
     }
     Tables.render(
       "T5 / Fig 14 - cost model vs execution (per query shape & approach)",
-      Seq("query", "approach", "#orders", "corr(pred, probes)",
-          "corr(pred, wall)", "relerr p50", "relerr p90"),
+      Seq("query", "approach", "#orders", "corr(pred, probes)", "relerr p50", "relerr p90"),
       rows)
   }
 }

@@ -14,8 +14,7 @@ import repro.engine.Engine
   */
 object T6Robustness {
 
-  final case class Row(query: String, approach: String, normalized: Seq[Double],
-                       wallSpread: Double)
+  final case class Row(query: String, approach: String, normalized: Seq[Double])
 
   val queries: Seq[Shape] = Seq(Shape.star(6), Shape.snow(2, 2))
   val Driver  = 2000.0
@@ -31,12 +30,9 @@ object T6Robustness {
         val orders = Iterator.continually(Optimizer.randomOrder(tree, rng))
           .distinct.take(NOrders).toList
         Approach.all.map { a =>
-          val res    = orders.map(o => Engine.run(q, o, a, counting = true))
-          val probes = res.map(_.log.weighted(w))
-          val walls  = res.map(_.log.wallMs.toDouble)
+          val probes = orders.map(o => Engine.run(q, o, a, counting = true).log.weighted(w))
           val maxP   = math.max(probes.max, 1e-9)
-          Row(shape.name, a.name, probes.map(_ / maxP),
-            if (walls.max > 0) walls.min / walls.max else 1.0)
+          Row(shape.name, a.name, probes.map(_ / maxP))
         }
       }
     }
@@ -46,13 +42,12 @@ object T6Robustness {
     Tables.render(
       "T6 / Fig 15 - robustness across random join orders " +
         "(weighted probes normalized by each approach's worst order)",
-      Seq("query", "approach", "min", "median", "max", "spread(max-min)", "wall min/max"),
+      Seq("query", "approach", "min", "median", "max", "spread(max-min)"),
       rows.map { r =>
         Seq(r.query, r.approach,
           Tables.fmt(r.normalized.min),
           Tables.fmt(Tables.percentile(r.normalized, 50)),
           Tables.fmt(r.normalized.max),
-          Tables.fmt(r.normalized.max - r.normalized.min),
-          Tables.fmt(r.wallSpread))
+          Tables.fmt(r.normalized.max - r.normalized.min))
       })
 }

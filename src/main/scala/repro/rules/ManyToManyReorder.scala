@@ -1,6 +1,6 @@
 package repro.rules
 
-import org.apache.spark.sql.catalyst.expressions.{AttributeReference, EqualTo, Expression}
+import org.apache.spark.sql.catalyst.expressions.{AttributeReference, EqualTo}
 import org.apache.spark.sql.catalyst.plans.Inner
 import org.apache.spark.sql.catalyst.plans.logical.{Join, JoinHint, LogicalPlan, Project}
 import org.apache.spark.sql.catalyst.rules.Rule
@@ -67,43 +67,33 @@ final case class ManyToManyReorder(statsOf: (String, String) => Option[EdgeStats
       rewrite(j).getOrElse(j)
   }
 
+  /** The edge that condition `c` adds for leaf `i`: (parent, parent column,
+    * child column), if `c` equates an attribute of `i` with one of a single
+    * earlier leaf.
+    */
+  private def edge(leaves: List[LogicalPlan], c: EqualTo, i: Int): Option[(Int, String, String)] =
+    (c.left, c.right) match {
+      case (a: AttributeReference, b: AttributeReference) =>
+        (ownerOf(leaves, a), ownerOf(leaves, b)) match {
+          case (Some(x), Some(y)) if x == i && y < i => Some((y, b.name, a.name))
+          case (Some(x), Some(y)) if y == i && x < i => Some((x, a.name, b.name))
+          case _                                     => None
+        }
+      case _ => None
+    }
+
   private def rewrite(j: Join): Option[LogicalPlan] = {
     val (leaves, conds) = flatten(j)
     val n = leaves.length
-    if (n < 3 || n > JoinTree.MaxRelations || conds.length != n - 1) return None
-
     // conds(i-1) connects leaf i to exactly one earlier leaf (its parent).
-    val parent  = Array.fill(n)(-1)
-    val edgeKey = Array.fill(n)(("", ""))
-    val joinCond = Array.fill[Expression](n)(null)
-    for (i <- 1 until n) {
-      val c = conds(i - 1)
-      (c.left, c.right) match {
-        case (a: AttributeReference, b: AttributeReference) =>
-          (ownerOf(leaves, a), ownerOf(leaves, b)) match {
-            case (Some(x), Some(y)) if x != y =>
-              val (child, par, pc, cc) =
-                if (x == i) (x, y, b.name, a.name)
-                else if (y == i) (y, x, a.name, b.name)
-                else return None // condition does not attach the new leaf
-              if (par >= child) return None
-              parent(child) = par
-              edgeKey(child) = (pc, cc)
-              joinCond(child) = c
-            case _ => return None
-          }
-        case _ => return None
+    lazy val stats = (1 until n).map { i =>
+      edge(leaves, conds(i - 1), i).flatMap { case (p, pc, cc) =>
+        statsOf(pc, cc).map(s => (p, s.m, s.fo))
       }
     }
-    if ((1 until n).exists(parent(_) < 0)) return None
+    if (n < 3 || n > JoinTree.MaxRelations || stats.contains(None)) return None
 
-    val stats = (1 until n).map { i =>
-      statsOf(edgeKey(i)._1, edgeKey(i)._2) match {
-        case Some(s) => (parent(i), s.m, s.fo)
-        case None    => return None
-      }
-    }
-    val tree = JoinTree(stats, driverSize = 1.0)
+    val tree = JoinTree(stats.flatten, driverSize = 1.0)
     val order =
       if (n <= ExhaustiveUpTo) Optimizer.exhaustiveCom(tree)._1
       else Optimizer.greedy(tree, Optimizer.Heuristic.SurvivalProb)
@@ -113,7 +103,7 @@ final case class ManyToManyReorder(statsOf: (String, String) => Option[EdgeStats
 
     var rebuilt: LogicalPlan = leaves(0)
     for (l <- order)
-      rebuilt = Join(rebuilt, leaves(l), Inner, Some(joinCond(l)), JoinHint.NONE)
+      rebuilt = Join(rebuilt, leaves(l), Inner, Some(conds(l - 1)), JoinHint.NONE)
     rebuilt.foreach {
       case jj: Join => jj.setTagValue(reorderedTag, true)
       case _        =>

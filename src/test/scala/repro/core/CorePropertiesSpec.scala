@@ -91,7 +91,7 @@ class CorePropertiesSpec extends AnyFunSuite {
     val g = for { st <- statGen; r <- Gen.choose(0.01, 1.0) } yield (st, r)
     for ((st, ratio) <- samples(g, 100)) {
       val m  = SemiJoinModel.adjustedM(st.m, st.fo, ratio)
-      val fo = SemiJoinModel.adjustedFo(st.m, st.fo, ratio)
+      val fo = SemiJoinModel.adjustedFo(st.fo, ratio)
       assert(m >= 0.0 && m <= st.m + 1e-12)
       assert(fo >= 1.0 - 1e-9 && fo <= st.fo + 1e-12)
     }

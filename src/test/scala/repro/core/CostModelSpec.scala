@@ -103,6 +103,17 @@ class CostModelSpec extends AnyFunSuite {
     assert(bvp.bvProbes > 0)
   }
 
+  test("BVP+COM on a two-join path: hash probes and the sweeps before and after a join") {
+    val path = JoinTree(Seq((0, 0.5, 2.0), (1, 0.4, 3.0)), driverSize = 100)
+    val c    = CostModel.cost(path, Seq(1, 2), Approach.BvpCom, flatOutput = false, eps = 0.1)
+    // BV(1) passes 100 × 0.6 driver rows: 60 probes into R1. Its join leaves
+    // 60 × (0.5 / 0.6) × 2 = 100 entries, which BV(2) passes at 0.5: 50
+    // probes into R2.
+    assert(math.abs(c.htProbes - 110) < 1e-9)
+    // BV(1) sees the 100 driver rows, BV(2) R1's 100 entries.
+    assert(math.abs(c.bvProbes - 200) < 1e-9)
+  }
+
   test("SJ cost includes phase-1 semi-join probes") {
     val c = CostModel.cost(tree, order, Approach.SjStd, flatOutput = true)
     assert(c.semiProbes > 0)

@@ -11,7 +11,7 @@ class SemiJoinModelSpec extends AnyFunSuite {
   }
 
   test("adjusted fo' = fo ratio / (1-(1-ratio)^fo)") {
-    assert(math.abs(adjustedFo(0.5, 2, 0.5) - 2 * 0.5 / 0.75) < 1e-12)
+    assert(math.abs(adjustedFo(2, 0.5) - 2 * 0.5 / 0.75) < 1e-12)
   }
 
   test("adjusted fo' never drops below 1, even through rounding") {
@@ -19,13 +19,13 @@ class SemiJoinModelSpec extends AnyFunSuite {
     // arithmetic but the division can round to just under it.
     for (k <- 1 to 8; j <- 3 to 12) {
       val (fo, ratio) = (1 + math.pow(10, -j), math.pow(10, -k))
-      assert(adjustedFo(0.5, fo, ratio) >= 1.0, s"fo=$fo ratio=$ratio")
+      assert(adjustedFo(fo, ratio) >= 1.0, s"fo=$fo ratio=$ratio")
     }
   }
 
   test("ratio 1 leaves statistics unchanged") {
     assert(adjustedM(0.3, 4, 1.0) == 0.3)
-    assert(adjustedFo(0.3, 4, 1.0) == 4.0)
+    assert(adjustedFo(4, 1.0) == 4.0)
   }
 
   test("Thm 3.4 invariant: m' fo' = ratio × m × fo") {
@@ -33,7 +33,7 @@ class SemiJoinModelSpec extends AnyFunSuite {
     for (_ <- 0 until 200) {
       val m = rng.nextDouble(); val fo = 1 + rng.nextDouble() * 9
       val r = rng.nextDouble()
-      val lhs = adjustedM(m, fo, r) * adjustedFo(m, fo, r)
+      val lhs = adjustedM(m, fo, r) * adjustedFo(fo, r)
       assert(math.abs(lhs - r * m * fo) < 1e-9)
     }
   }
@@ -54,7 +54,7 @@ class SemiJoinModelSpec extends AnyFunSuite {
     val mPrime  = matchedAfter.toDouble / trials
     val foPrime = survivors.toDouble / matchedAfter
     assert(math.abs(mPrime - adjustedM(m, fo, ratio)) < 0.01)
-    assert(math.abs(foPrime - adjustedFo(m, fo, ratio)) < 0.05)
+    assert(math.abs(foPrime - adjustedFo(fo, ratio)) < 0.05)
   }
 
   private val N = 1000.0
@@ -106,7 +106,7 @@ class SemiJoinModelSpec extends AnyFunSuite {
     val red = reductionRatios(tree)
     for (i <- 1 until tree.n) {
       val st = tree.stats(i)
-      assert(math.abs(rt.stats(i).fo - adjustedFo(st.m, st.fo, red(i))) < 1e-12)
+      assert(math.abs(rt.stats(i).fo - adjustedFo(st.fo, red(i))) < 1e-12)
     }
   }
 

@@ -141,14 +141,14 @@ class SurvivalSpec extends AnyFunSuite {
     assert(math.abs(branchSurvival(tree, mask(1, 2), 1, Some(eps)) - expected) < 1e-12)
   }
 
-  test("entriesAfterJoin multiplies probes by conditional selectivity") {
-    val p   = probesCom(tree, mask(), 1)
-    val got = entriesAfterJoin(tree, mask(1), 1)
-    assert(math.abs(got - p * m2 * fo2) < 1e-9)
-  }
-
-  test("entriesAfterJoin at the driver applies tree survival") {
-    val got = entriesAfterJoin(tree, mask(1), 0)
-    assert(math.abs(got - N * m2) < 1e-9)
+  test("BVP+COM bitvectors after a join see probes times conditional selectivity") {
+    val eps = 0.05
+    // N (m2+eps)(m5+eps) probes enter R2; the join resolves BV(R2)'s false
+    // positives (m2/(m2+eps)) and expands by fo2. BV(R3) sees those entries,
+    // BV(R4) what BV(R3) passes.
+    val entries  = N * m2 * math.min(1, m5 + eps) * fo2
+    val expected = entries * (1 + math.min(1, m3 + eps))
+    val got      = CostModel.comStep(tree, mask(), 1, Some(eps)).bvProbes
+    assert(math.abs(got - expected) < 1e-9)
   }
 }

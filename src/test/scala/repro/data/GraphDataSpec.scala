@@ -40,7 +40,7 @@ class GraphDataSpec extends SparkSpec {
   }
 
   test("aliasQuery builds the requested shape with naive statistics") {
-    val q = GraphData.aliasQuery(spark, e, Seq(-1, 0, 1))
+    val q = GraphData.aliasQuery(e, Seq(-1, 0, 1))
     assert(q.tree.n == 3)
     assert(q.tree.parent.toSeq == Seq(-1, 0, 1))
     assert(q.tree.stats(1).m > 0 && q.tree.stats(1).m <= 1.0)
@@ -51,7 +51,7 @@ class GraphDataSpec extends SparkSpec {
     val parents   = Seq(-1, 0, 1)
     val collected = e.select("src", "dst").collect().map(r => (r.getLong(0), r.getLong(1)))
     val predicted = T3Ce.exactOut(collected, parents)
-    val q   = GraphData.aliasQuery(spark, e, parents)
+    val q   = GraphData.aliasQuery(e, parents)
     val res = Engine.run(q, Seq(1, 2), Approach.Std, counting = false)
     assert(res.log.outRows.toDouble == predicted)
   }
@@ -60,7 +60,7 @@ class GraphDataSpec extends SparkSpec {
     val parents   = Seq(-1, 0, 0)
     val collected = e.select("src", "dst").collect().map(r => (r.getLong(0), r.getLong(1)))
     val predicted = T3Ce.exactOut(collected, parents)
-    val q   = GraphData.aliasQuery(spark, e, parents)
+    val q   = GraphData.aliasQuery(e, parents)
     val res = Engine.run(q, Seq(1, 2), Approach.Std, counting = false)
     assert(res.log.outRows.toDouble == predicted)
   }

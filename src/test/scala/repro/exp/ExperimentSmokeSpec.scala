@@ -5,6 +5,7 @@ import org.scalatest.funsuite.AnyFunSuite
 /** Fast sanity checks of the pure-math experiment harnesses and of the
   * experiment runner (the full runs live in bench/). */
 class ExperimentSmokeSpec extends AnyFunSuite {
+  import ExperimentSmokeSpec.VsRow
 
   test("T1 harness: survival heuristic is the best of the three (small run)") {
     val results = T1JoinOrderOpt.run(trees = 10, maxNodes = 10, seed = 3L)
@@ -87,6 +88,24 @@ class ExperimentSmokeSpec extends AnyFunSuite {
     assert(Run.registry("T4")(() => fail("T4 must not start Spark")).nonEmpty)
   }
 
+  test("vsComTable divides each ok row's probes by the ok COM row of its query") {
+    val rows = Seq(
+      VsRow("q1", "STD", "ok", 300.0),
+      VsRow("q1", "COM", "ok", 100.0),
+      VsRow("q1", "BVP+STD", "TIMEOUT", -1.0),
+      VsRow("q2", "STD", "ok", 50.0),
+      VsRow("q2", "COM", "TIMEOUT", -1.0))
+    val expected = Tables.render("t",
+      Seq("query", "approach", "status", "weighted probes", "probes/COM"),
+      Seq(
+        Seq("q1", "STD", "ok", "300.0", "3.000"),
+        Seq("q1", "COM", "ok", "100.0", "1.000"),
+        Seq("q1", "BVP+STD", "TIMEOUT", "-", "-"),
+        Seq("q2", "STD", "ok", "50.0", "-"),
+        Seq("q2", "COM", "TIMEOUT", "-", "-")))
+    assert(Harness.vsComTable("t", Seq("query", "approach"), rows) == expected)
+  }
+
   test("Tables.percentile and render behave") {
     val xs = Seq(1.0, 2.0, 3.0, 4.0)
     assert(Tables.percentile(xs, 50) == 2.0)
@@ -98,5 +117,15 @@ class ExperimentSmokeSpec extends AnyFunSuite {
   test("Tables.pearson on a perfect linear relation is 1") {
     val xs = Seq(1.0, 2.0, 3.0)
     assert(math.abs(Tables.pearson(xs, xs.map(_ * 3 + 1)) - 1.0) < 1e-12)
+  }
+}
+
+object ExperimentSmokeSpec {
+  /** A hand-built `vsComTable` row: one query, COM as the base. */
+  final case class VsRow(query: String, approach: String, status: String,
+                         weighted: Double) extends VsCom {
+    def key: (String, String) = (query, "")
+    def cells: Seq[String]    = Seq(query, approach)
+    def isBase: Boolean       = approach == "COM"
   }
 }

@@ -70,11 +70,9 @@ class RulesSpec extends SparkSpec {
     }
   }
 
-  private def statsOf(pc: String, cc: String): Option[EdgeStats] = {
-    // Column-name pair → edge: childCol is unique per node ("fk<i>").
-    val i = cc.stripPrefix("fk").toIntOption
-    i.filter(x => x >= 1 && x < tree.n).map(tree.stats(_))
-  }
+  // Column-name pair → edge: childCol is unique per node ("fk<i>").
+  private val statsOf: (String, String) => Option[EdgeStats] = (_, cc) =>
+    cc.stripPrefix("fk").toIntOption.filter(x => x >= 1 && x < tree.n).map(tree.stats(_))
 
   test("ManyToManyReorder rewrites a bad order into the optimal one") {
     val rule = ManyToManyReorder(statsOf)
