@@ -10,13 +10,17 @@ import repro.data.TreeQuery
   */
 final case class ExecResult(flat: Option[DataFrame], log: ProbeLog)
 
-/** Runs a left-deep plan under one of the six approaches (§4.1).
+/** Runs a left-deep pipelined plan under one of the six approaches (§4.1).
   *
-  * Bitvectors (§4.4), COM's survival and selection vectors (§4.2–4.3) and
-  * SJ's phase 1 (§4.5) are all one operation, Yannakakis' semi-join
-  * reduction: a node's rows are reduced by its children's key sets
-  * (`reduce`). Each key-set filter is a plain left-semi join, the
-  * exact-filter analog of the paper's bitvector (ε = 0); see DESIGN.md §3.
+  * Every join is a broadcast hash join (`hashJoin`): the stream probes a
+  * hash table built on the relation (STD), on `A(l)` (COM's expansion) or
+  * on a key set, so each plan is one pipeline over the driver's rows with
+  * no shuffle and no sort. Bitvectors (§4.4), COM's survival and selection
+  * vectors (§4.2–4.3) and SJ's phase 1 (§4.5) are all one operation,
+  * Yannakakis' semi-join reduction: a node's rows are reduced by its
+  * children's key sets (`reduce`). Each key-set filter is a plain
+  * left-semi join against a broadcast key set, the exact-filter analog of
+  * the paper's bitvector (ε = 0); see DESIGN.md §3.
   */
 object Engine {
   /** Runs `approach` over `q` in `order` (for SJ, the phase-2 order).
@@ -41,14 +45,20 @@ object Engine {
     var bv   = 0L
     var semi = 0L
 
+    /** The pipeline's one join: `stream` probes a hash table built on
+      * `build` (Spark's broadcast hash join, build side right), so no join
+      * shuffles or sorts either input.
+      */
+    def hashJoin(stream: DataFrame, build: DataFrame, streamCol: String, buildCol: String,
+                 how: String): DataFrame =
+      stream.join(broadcast(build), col(streamCol) === col(buildCol), how)
+
     /** Rows of `df` whose `onCol` occurs in column `keyCol` of `keys`. The
       * key side is projected but not deduplicated, since a left-semi join
       * emits each left row at most once.
       */
-    def keep(df: DataFrame, onCol: String, keys: DataFrame, keyCol: String): DataFrame = {
-      val v = keys.select(col(keyCol).as("v"))
-      df.join(v, col(onCol) === v.col("v"), "left_semi")
-    }
+    def keep(df: DataFrame, onCol: String, keys: DataFrame, keyCol: String): DataFrame =
+      hashJoin(df, keys.select(col(keyCol).as("v")), onCol, "v", "left_semi")
 
     /** `df` (rows at a node's level) reduced by the key sets `keys(c)` of
       * the children `kids`, in turn; `probe` sees each filter's input.
@@ -95,7 +105,7 @@ object Engine {
       var cur = bitvectors(0, rels(0))
       for (l <- order) {
         if (counting) ht += l -> cur.count()
-        cur = bitvectors(l, cur.join(rels(l), col(q.parentCol(l)) === col(q.childCol(l))))
+        cur = bitvectors(l, hashJoin(cur, rels(l), q.parentCol(l), q.childCol(l), "inner"))
       }
       output(cur)
     }
@@ -142,7 +152,7 @@ object Engine {
       if (flatOutput) {
         // Expansion: fold the factorized vectors back into flat tuples.
         output((1 until t.n).foldLeft(A(0)) { (cur, l) =>
-          cur.join(A(l), col(q.parentCol(l)) === col(q.childCol(l)))
+          hashJoin(cur, A(l), q.parentCol(l), q.childCol(l), "inner")
         })
       } else {
         // Factorized output: materialize every node's alive entries.

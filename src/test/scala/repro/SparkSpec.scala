@@ -4,7 +4,8 @@ import java.util.concurrent.{ConcurrentHashMap, ConcurrentLinkedQueue}
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd}
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.catalyst.plans.logical.LogicalPlan
-import org.apache.spark.sql.execution.QueryExecution
+import org.apache.spark.sql.execution.{QueryExecution, SparkPlan}
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
 import org.apache.spark.sql.util.QueryExecutionListener
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -26,15 +27,14 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   def bag(df: DataFrame): Map[Seq[Any], Int] =
     df.collect().toSeq.map(_.toSeq).groupMapReduce(identity)(_ => 1)(_ + _)
 
-  /** Runs `body` and returns its value with the optimized plan of every
-    * Spark SQL action it ran (count, collect, localCheckpoint, …), in
-    * order.
+  /** Runs `body` and returns its value with the plans of every Spark SQL
+    * action it ran (count, collect, localCheckpoint, …), in order.
     */
-  def recordPlans[A](body: => A): (A, Seq[LogicalPlan]) = {
-    val plans = new ConcurrentLinkedQueue[LogicalPlan]
+  def recordPlans[A](body: => A): (A, Seq[SparkSpec.Recorded]) = {
+    val plans = new ConcurrentLinkedQueue[SparkSpec.Recorded]
     val listener = new QueryExecutionListener {
       def onSuccess(funcName: String, qe: QueryExecution, durationNs: Long): Unit =
-        plans.add(qe.optimizedPlan)
+        plans.add(SparkSpec.Recorded(qe.optimizedPlan, SparkSpec.Aqe.stripAQEPlan(qe.executedPlan)))
       def onFailure(funcName: String, qe: QueryExecution, e: Exception): Unit = ()
     }
     spark.listenerManager.register(listener)
@@ -70,6 +70,16 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
 }
 
 object SparkSpec {
+  private object Aqe extends AdaptiveSparkPlanHelper
+
+  /** One action's plans: the optimized logical plan and the executed
+    * physical plan, the final adaptive plan once the action has run.
+    */
+  final case class Recorded(optimized: LogicalPlan, executed: SparkPlan) {
+    /** Every operator of `executed`, inside query stages and subqueries too. */
+    def operators: Seq[SparkPlan] = Aqe.collectWithSubqueries(executed) { case p => p }
+  }
+
   lazy val shared: SparkSession = {
     val s = Spark.session("repro")
     // One line in test output that tells the driver whether the cgroup

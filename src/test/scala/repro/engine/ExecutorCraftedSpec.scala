@@ -1,5 +1,6 @@
 package repro.engine
 
+import org.apache.spark.sql.Row
 import repro.SparkSpec
 import repro.core.{Approach, JoinTree}
 import repro.data.TreeQuery
@@ -107,13 +108,77 @@ class ExecutorCraftedSpec extends SparkSpec {
       val (r, plans) = recordPlans(Engine.run(q, Seq(1, 2, 3), a, counting))
       assert(r.log.outRows == 1L, s"${a.name} counting=$counting")
       // Every approach but STD filters by key sets; the recorder must see them.
-      val semis = plans.flatMap(_.collect { case j: Join if j.joinType == LeftSemi => j })
+      val semis = plans.flatMap(_.optimized.collect { case j: Join if j.joinType == LeftSemi => j })
       assert(a == Approach.Std || semis.nonEmpty, s"${a.name} counting=$counting: no semi-join recorded")
-      val grouped = plans.flatMap(_.collectWithSubqueries {
+      val grouped = plans.flatMap(_.optimized.collectWithSubqueries {
         case g: Aggregate if g.groupingExpressions.nonEmpty => g
       })
       assert(grouped.isEmpty, s"${a.name} counting=$counting: ${grouped.mkString("\n")}")
     }
+  }
+
+  test("every action is one broadcast-hash-join pipeline: no shuffle, no sort") {
+    import org.apache.spark.sql.catalyst.optimizer.BuildRight
+    import org.apache.spark.sql.catalyst.plans.physical.SinglePartition
+    import org.apache.spark.sql.execution.SortExec
+    import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
+    import org.apache.spark.sql.execution.joins.{BaseJoinExec, BroadcastHashJoinExec}
+    val runs = Approach.all.map((_, true)) ++ Approach.all.filter(_.usesCom).map((_, false))
+    for ((a, flat) <- runs; counting <- Seq(true, false)) {
+      val what = s"${a.name} flat=$flat counting=$counting"
+      val (_, plans) = recordPlans(Engine.run(q, Seq(1, 2, 3), a, counting, flat))
+      val ops = plans.flatMap(_.operators)
+      assert(ops.exists(_.isInstanceOf[BroadcastHashJoinExec]), s"$what: no hash join recorded")
+      for (op <- ops) op match {
+        case j: BroadcastHashJoinExec => assert(j.buildSide == BuildRight, s"$what: $j")
+        // count()'s gather of per-partition partial counts; a shuffled join
+        // would hash-partition its inputs instead.
+        case e: ShuffleExchangeExec if e.outputPartitioning == SinglePartition =>
+        case _: BaseJoinExec | _: ShuffleExchangeExec | _: SortExec => fail(s"$what: $op")
+        case _ =>
+      }
+    }
+  }
+
+  /** `q` with relation `i` emptied behind an RDD scan, which the optimizer
+    * cannot see through (a local relation it would fold away): only
+    * adaptive execution learns, from the broadcast it built, that a build
+    * side is empty.
+    */
+  private def emptied(i: Int): TreeQuery =
+    q.copy(rels = q.rels.updated(i,
+      spark.createDataFrame(spark.sparkContext.emptyRDD[Row], q.rels(i).schema)))
+
+  /** Every approach, counted or not, returns no rows, as the oracle does. */
+  private def assertNoRows(e: TreeQuery): Unit =
+    for (a <- Approach.all; counting <- Seq(true, false)) withClue(s"${a.name} counting=$counting: ") {
+      val r = Engine.run(e, Seq(1, 2, 3), a, counting)
+      assert(r.log.outRows == 0L)
+      repro.Oracle.assertEquivalent(r.flat.get, e.flatSql, e.oracleTables: _*)
+    }
+
+  test("an empty leaf relation (R3): no rows, and the probes up to it") {
+    val e = emptied(3)
+    // STD: the 4 driver rows probe R1, its 3 matches probe R2 and their 3
+    // matches probe the empty R3.
+    assert(Engine.run(e, Seq(1, 2, 3), Approach.Std).log.htProbes == Map(1 -> 4L, 2 -> 3L, 3 -> 3L))
+    // COM: as on the full data up to R3 (4, 3, 2); nothing survives R3, so
+    // no entry is alive at any node.
+    assert(Engine.run(e, Seq(1, 2, 3), Approach.Com).log.htProbes == Map(1 -> 4L, 2 -> 3L, 3 -> 2L))
+    assert(Engine.run(e, Seq(1, 2, 3), Approach.Com, flatOutput = false).log.outRows == 0L)
+    assertNoRows(e)
+  }
+
+  test("an internal node's only child empty (R2 under R1): no rows, no probes past it") {
+    val e = emptied(2)
+    // STD: 4 driver rows probe R1 and its 3 matches probe the empty R2;
+    // nothing is left to probe R3.
+    assert(Engine.run(e, Seq(1, 2, 3), Approach.Std).log.htProbes == Map(1 -> 4L, 2 -> 3L, 3 -> 0L))
+    // COM: no R1 entry survives the empty R2, so no driver entry is alive
+    // to probe R3, and none is alive at any node.
+    assert(Engine.run(e, Seq(1, 2, 3), Approach.Com).log.htProbes == Map(1 -> 4L, 2 -> 3L, 3 -> 0L))
+    assert(Engine.run(e, Seq(1, 2, 3), Approach.Com, flatOutput = false).log.outRows == 0L)
+    assertNoRows(e)
   }
 
   test("counting=false skips probe accounting but still answers") {
