@@ -1,6 +1,6 @@
 package repro.engine
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Observation}
 import org.apache.spark.sql.functions._
 import repro.core.{Approach, CostModel, SemiJoinModel}
 import repro.data.TreeQuery
@@ -21,6 +21,11 @@ final case class ExecResult(flat: Option[DataFrame], log: ProbeLog)
   * children's key sets (`reduce`). Each key-set filter is a plain
   * left-semi join against a broadcast key set, the exact-filter analog of
   * the paper's bitvector (ε = 0); see DESIGN.md §3.
+  *
+  * A call runs no Spark job that does no necessary work: one per broadcast
+  * build side and one per count (`rows`). Checkpoints are lazy, so the
+  * first job that reads one fills it, and COM skips a top-down filter that
+  * cannot remove an entry.
   */
 object Engine {
   /** Runs `approach` over `q` in `order` (for SJ, the phase-2 order).
@@ -28,7 +33,7 @@ object Engine {
     * Probes into relation l's hash table = rows entering its join: the flat
     * intermediate for STD, the alive entries at l's parent level for COM.
     * Bitvector and semi-join probes = rows entering each key-set filter. All
-    * are measured with `count()` only when `counting`. `flatOutput = false`
+    * are counted only when `counting`. `flatOutput = false`
     * returns the factorized result (the alive entries of every node, COM
     * family only).
     */
@@ -72,7 +77,17 @@ object Engine {
       */
     def bitvectors(i: Int, df: DataFrame): DataFrame =
       if (!approach.bitvectors) df
-      else reduce(df, t.children(i), q.rels, d => if (counting) bv += d.count())
+      else reduce(df, t.children(i), q.rels, d => if (counting) bv += rows(d))
+
+    /** Rows of `df` in one Spark job: an observed `count(1)` over a no-op
+      * write. `count()` takes two under adaptive execution, the second to
+      * gather the per-partition partial counts.
+      */
+    def rows(df: DataFrame): Long = {
+      val n = Observation()
+      df.observe(n, count(lit(1)).as("n")).write.format("noop").mode("overwrite").save()
+      n.get("n").asInstanceOf[Long]
+    }
 
     def run(order: Seq[Int], flatOutput: Boolean): ExecResult = {
       val rels        = if (approach.semiJoins) phase1() else q.rels
@@ -90,9 +105,9 @@ object Engine {
       val reduced = new Array[DataFrame](t.n)
       for (i <- (t.n - 1) to 0 by -1) {
         val kids = order(i)
-        val r    = reduce(q.rels(i), kids, reduced(_), d => if (counting) semi += d.count())
+        val r    = reduce(q.rels(i), kids, reduced(_), d => if (counting) semi += rows(d))
         // Truncate lineage: phase 2 re-derives plans over these reductions.
-        reduced(i) = if (kids.isEmpty) r else r.localCheckpoint()
+        reduced(i) = if (kids.isEmpty) r else r.localCheckpoint(eager = false)
       }
       reduced.toIndexedSeq
     }
@@ -104,7 +119,7 @@ object Engine {
     def std(rels: IndexedSeq[DataFrame], order: Seq[Int]): (Option[DataFrame], Long) = {
       var cur = bitvectors(0, rels(0))
       for (l <- order) {
-        if (counting) ht += l -> cur.count()
+        if (counting) ht += l -> rows(cur)
         cur = bitvectors(l, hashJoin(cur, rels(l), q.parentCol(l), q.childCol(l), "inner"))
       }
       output(cur)
@@ -118,8 +133,9 @@ object Engine {
       */
     def com(rels: IndexedSeq[DataFrame], order: Seq[Int],
             flatOutput: Boolean): (Option[DataFrame], Long) = {
-      val A    = new Array[DataFrame](t.n)
-      var eval = Set(0)
+      val A      = new Array[DataFrame](t.n)
+      var joined = Vector(0) // the evaluated nodes, in join order
+      def eval(i: Int): Boolean = joined.contains(i)
 
       /** i's entries that survive i's evaluated subtree (bottom-up). */
       def survivors(i: Int): DataFrame =
@@ -127,11 +143,16 @@ object Engine {
 
       /** Alive entries at p's level: p's entries whose parent entry is alive
         * (top-down along root → p) and that survive p's evaluated branches
-        * other than `onPath`, the child the recursion came from.
+        * other than `onPath`, the child the recursion came from. A(p) was
+        * matched against `alive(parent(p), p)` as it stood when p joined,
+        * and only nodes outside p's subtree can have shrunk that set since:
+        * until one of them joins, the top-down filter removes nothing and
+        * is skipped (the paper's incremental selection vector, §4.3).
         */
       def alive(p: Int, onPath: Int): DataFrame = {
+        val stale = joined.drop(joined.indexOf(p) + 1).exists(j => !t.pathFromRoot(j).contains(p))
         val top =
-          if (p == 0) A(0)
+          if (!stale) A(p)
           else keep(A(p), q.childCol(p), alive(t.parent(p), p), q.parentCol(p))
         reduce(top, t.children(p).filter(c => eval(c) && c != onPath), survivors)
       }
@@ -139,14 +160,15 @@ object Engine {
       // localCheckpoint (not persist): the alive/survival computation
       // re-derives plans over every prior A(i), so logical-plan size — and
       // with it Catalyst analysis time — grows super-linearly with depth
-      // unless the lineage is truncated at each step.
-      A(0) = bitvectors(0, rels(0)).localCheckpoint()
+      // unless the plan is cut at each step. Lazy: the first job that
+      // reads A(i) computes and caches it, with no job of its own.
+      A(0) = bitvectors(0, rels(0)).localCheckpoint(eager = false)
       for (l <- order) {
         val entries = alive(t.parent(l), -1)
-        if (counting) ht += l -> entries.count()
+        if (counting) ht += l -> rows(entries)
         val matched = keep(rels(l), q.childCol(l), entries, q.parentCol(l))
-        eval += l
-        A(l) = bitvectors(l, matched).localCheckpoint()
+        joined :+= l
+        A(l) = bitvectors(l, matched).localCheckpoint(eager = false)
       }
 
       if (flatOutput) {
@@ -155,8 +177,9 @@ object Engine {
           hashJoin(cur, A(l), q.parentCol(l), q.childCol(l), "inner")
         })
       } else {
-        // Factorized output: materialize every node's alive entries.
-        (None, (0 until t.n).map(alive(_, -1).count()).sum)
+        // Factorized output: every node's alive entries, counted in one
+        // action, so the nodes' plans share their broadcasts.
+        (None, rows((0 until t.n).map(alive(_, -1).select()).reduce(_ union _)))
       }
     }
 
@@ -165,7 +188,7 @@ object Engine {
       */
     def output(joined: DataFrame): (Option[DataFrame], Long) = {
       val f = joined.select(q.outputCols.map(col): _*)
-      (Some(f), f.count())
+      (Some(f), rows(f))
     }
   }
 }

@@ -1,7 +1,7 @@
 package repro
 
 import java.util.concurrent.{ConcurrentHashMap, ConcurrentLinkedQueue}
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkListenerJobStart}
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.catalyst.plans.logical.LogicalPlan
 import org.apache.spark.sql.execution.{QueryExecution, SparkPlan}
@@ -45,12 +45,30 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
     } finally spark.listenerManager.unregister(listener)
   }
 
-  /** Blocks until the listener bus has delivered every event posted so far.
+  /** Runs `body` and returns its value with the Spark jobs it started, in
+    * order, each by its call site (the name of its last stage).
+    */
+  def recordJobs[A](body: => A): (A, Seq[String]) = {
+    val jobs = new ConcurrentLinkedQueue[(Int, String)]
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        jobs.add((e.jobId, if (e.stageInfos.isEmpty) "" else e.stageInfos.maxBy(_.stageId).name))
+    }
+    spark.sparkContext.addSparkListener(listener)
+    try {
+      val a      = body
+      val marker = drainListenerBus()
+      (a, jobs.asScala.toSeq.collect { case (id, site) if id != marker => site })
+    } finally spark.sparkContext.removeSparkListener(listener)
+  }
+
+  /** Blocks until the listener bus has delivered every event posted so far,
+    * and returns the id of the marker job it ran to tell.
     * Query-execution events reach their listeners asynchronously, through
     * the bus's shared queue; a marker job's end event, delivered on that
     * queue after them, shows they have all been handled.
     */
-  private def drainListenerBus(): Unit = {
+  private def drainListenerBus(): Int = {
     val sc    = spark.sparkContext
     val ended = ConcurrentHashMap.newKeySet[Int]()
     val marker = new SparkListener {
@@ -65,6 +83,7 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
         assert(System.nanoTime() < deadline, "listener bus did not drain in 60 s")
         Thread.sleep(5)
       }
+      job.jobIds.head
     } finally sc.removeSparkListener(marker)
   }
 }

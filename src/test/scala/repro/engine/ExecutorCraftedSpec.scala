@@ -119,7 +119,6 @@ class ExecutorCraftedSpec extends SparkSpec {
 
   test("every action is one broadcast-hash-join pipeline: no shuffle, no sort") {
     import org.apache.spark.sql.catalyst.optimizer.BuildRight
-    import org.apache.spark.sql.catalyst.plans.physical.SinglePartition
     import org.apache.spark.sql.execution.SortExec
     import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
     import org.apache.spark.sql.execution.joins.{BaseJoinExec, BroadcastHashJoinExec}
@@ -131,9 +130,6 @@ class ExecutorCraftedSpec extends SparkSpec {
       assert(ops.exists(_.isInstanceOf[BroadcastHashJoinExec]), s"$what: no hash join recorded")
       for (op <- ops) op match {
         case j: BroadcastHashJoinExec => assert(j.buildSide == BuildRight, s"$what: $j")
-        // count()'s gather of per-partition partial counts; a shuffled join
-        // would hash-partition its inputs instead.
-        case e: ShuffleExchangeExec if e.outputPartitioning == SinglePartition =>
         case _: BaseJoinExec | _: ShuffleExchangeExec | _: SortExec => fail(s"$what: $op")
         case _ =>
       }
@@ -201,16 +197,45 @@ class ExecutorCraftedSpec extends SparkSpec {
     // driver, 2 after joining 1); SJ's 3 phase-1 semi-joins (node 1 by 2,
     // the driver by 1 and 3). Always: SJ's 2 phase-1 checkpoints (nodes 1
     // and 0); COM's 4 checkpoints (A(0) and one per step); the output, one
-    // flat count or 4 alive-entry counts (factorized, one per node).
+    // flat count or one count of the union of the 4 nodes' alive entries
+    // (factorized).
     import Approach._
     val expected = Seq( // (approach, flat output, counted, uncounted)
       (Std, true, 4, 1), (BvpStd, true, 7, 1), (SjStd, true, 9, 3),
       (Com, true, 8, 5), (BvpCom, true, 11, 5), (SjCom, true, 13, 7),
-      (Com, false, 11, 8), (BvpCom, false, 14, 8), (SjCom, false, 16, 10))
+      (Com, false, 8, 5), (BvpCom, false, 11, 5), (SjCom, false, 13, 7))
     for ((a, flat, counted, uncounted) <- expected; counting <- Seq(true, false)) {
       val (_, plans) = recordPlans(Engine.run(q, Seq(1, 2, 3), a, counting, flat))
       assert(plans.length == (if (counting) counted else uncounted),
         s"${a.name} flat=$flat counting=$counting")
+    }
+  }
+
+  test("Spark jobs per uncounted call: one per broadcast and one per count") {
+    // Order [1,2,3]; the driver's children are 1 and 3, node 1's child is 2.
+    // Every build side is a broadcast, one job each; a checkpoint runs no
+    // job of its own (it is lazy: the first job that reads it fills it),
+    // and the output is counted in one job.
+    // STD: 3 hash-join steps + 1 count = 4. BVP adds 3 bitvectors (1 and 3
+    // on the driver, 2 after joining 1): 7. SJ's phase 1 adds 3 semi-joins
+    // (node 1 by 2, the driver by 1 and 3) to either pipeline.
+    // COM: step 1 broadcasts A(0); step 2 broadcasts A(1) alone, since no
+    // node outside 1's subtree has joined since 1 (no top-down filter);
+    // step 3 broadcasts A(2), A(1) ⋉ A(2) and the alive driver entries; the
+    // expansion broadcasts A(1..3) and counts: 1 + 1 + 3 + 3 + 1 = 9.
+    // Factorized, the union of the four alive sets shares its broadcasts:
+    // alive(0) needs A(2), A(1) ⋉ A(2) and A(3); alive(1) adds A(0) ⋉ A(3)
+    // (1 is stale: 3 joined after it); alive(2) adds A(1) ⋉ alive(0, 1)
+    // (2 is stale too); alive(3) is A(3). 5 steps' jobs + 5 + 1 = 11.
+    import Approach._
+    val expected = Seq( // (approach, flat output, jobs)
+      (Std, true, 4), (BvpStd, true, 7), (SjStd, true, 7),
+      (Com, true, 9), (BvpCom, true, 12), (SjCom, true, 12),
+      (Com, false, 11), (BvpCom, false, 14), (SjCom, false, 14))
+    for ((a, flat, jobs) <- expected) {
+      val (r, started) = recordJobs(Engine.run(q, Seq(1, 2, 3), a, counting = false, flat))
+      assert(r.log.outRows == (if (flat) 1L else 4L), s"${a.name} flat=$flat")
+      assert(started.length == jobs, s"${a.name} flat=$flat: ${started.mkString(", ")}")
     }
   }
 }

@@ -54,6 +54,33 @@ class ExecutorGeneratedSpec extends SparkSpec {
       assert(com.htProbes(l) <= std.htProbes(l), s"node $l")
   }
 
+  test("COM-family probes equal the exact alive-entry count on random orders") {
+    // A path of depth 4 beside a one-relation arm, a snowflake and a random
+    // tree: random orders interleave the arms, so a node's entries must
+    // often be filtered again after a node outside its subtree has joined.
+    val rng   = new Random(43)
+    val trees = Seq(
+      JoinTree(Seq((0, 0.6, 2.0), (1, 0.5, 2.0), (2, 0.6, 1.5), (3, 0.5, 2.0), (0, 0.4, 2.0)),
+        driverSize = 300),
+      JoinTree.snowflake(3, 1,
+        Seq(EdgeStats(0.5, 2), EdgeStats(0.6, 1.5), EdgeStats(0.4, 2.5), EdgeStats(0.7, 1.0),
+            EdgeStats(0.6, 2), EdgeStats(0.5, 1.5)),
+        driverSize = 300),
+      JoinTree.random(7, (0.3, 0.8), (1.0, 2.5), rng, driverSize = 300))
+    for ((tree, seed) <- trees.zip(Seq(28L, 29L, 30L))) {
+      val q = TreeData.generate(spark, tree, seed)
+      for (_ <- 0 until 2) {
+        val order    = Optimizer.randomOrder(tree, rng)
+        val expected = bag(Engine.run(q, order, Approach.Std, counting = false).flat.get)
+        for (a <- Seq(Approach.Com, Approach.BvpCom, Approach.SjCom)) withClue(s"${a.name} $order: ") {
+          val r = Engine.run(q, order, a)
+          assert(r.log.htProbes == AliveReference.htProbes(q, order, a))
+          assert(bag(r.flat.get) == expected)
+        }
+      }
+    }
+  }
+
   test("measured STD probes match the cost model on measured stats (±10%)") {
     val tree = JoinTree.star(4,
       Seq(EdgeStats(0.5, 2), EdgeStats(0.4, 3), EdgeStats(0.6, 1.5)), driverSize = 3000)
