@@ -34,29 +34,17 @@ object Estimation {
     )
   }
 
-  /** Correlated-sampling estimator: draw a uniform sample of R, count each
-    * sampled tuple's matches in S; m = fraction matched, fo = mean matches
-    * among the matched.
+  /** Index-based join sampling (Leis et al., "Cardinality Estimation Done
+    * Right: Index-Based Join Sampling", CIDR 2017): the exact statistics
+    * (`trueStats`) of a uniform sample of `sampleSize` rows of R, each
+    * probed against all of S. The sample is persisted, so every count reads
+    * the same rows.
     */
   def sampled(r: DataFrame, rKey: String, s: DataFrame, sKey: String,
               sampleSize: Int, seed: Long): EdgeStats = {
-    val sample = r.orderBy(rand(seed)).limit(sampleSize)
-      .withColumn("__rid", monotonically_increasing_id())
-      .persist()
-    try {
-      val k = sample.count().toDouble
-      val counts = sample
-        .join(s, sample(rKey) === s(sKey))
-        .groupBy("__rid").agg(count(lit(1)).as("c"))
-        .agg(count(lit(1)).as("matched"), sum(col("c")).as("total"))
-        .collect()(0)
-      val matched = Option(counts.get(0)).map(_.toString.toDouble).getOrElse(0.0)
-      val total   = Option(counts.get(1)).map(_.toString.toDouble).getOrElse(0.0)
-      EdgeStats(
-        m = if (k == 0) 0.0 else matched / k,
-        fo = if (matched == 0) 1.0 else total / matched,
-      )
-    } finally { sample.unpersist(blocking = false); () }
+    val sample = r.orderBy(rand(seed)).limit(sampleSize).persist()
+    try trueStats(sample, rKey, s, sKey)
+    finally { sample.unpersist(blocking = false); () }
   }
 
   /** Q-error: max(est/actual, actual/est), with a floor so zero estimates

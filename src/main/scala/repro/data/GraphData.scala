@@ -62,7 +62,7 @@ object GraphData {
     // Naive §3.2 estimates for a dst→src self-join, identical on all edges.
     val st   = Estimation.naive(e, "dst", e, "src")
     val tree = JoinTree(
-      parents.drop(1).map(p => (p, st.m, math.min(st.fo, 15.0))),
+      parents.drop(1).map(p => (p, st.m, st.fo)),
       driverSize = e.count().toDouble,
     )
     TreeQuery(

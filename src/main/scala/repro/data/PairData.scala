@@ -9,9 +9,9 @@ import org.apache.spark.sql.functions._
   * R holds keys 1..nR. S draws nS keys from a window of width nR shifted so
   * that only an `overlap` fraction of it intersects R's domain — this is
   * what breaks the naive distinct-value estimator (it sees many distinct
-  * S-values and cannot know how many land inside R), while correlated
-  * sampling measures the overlap directly. Optional zipf skew concentrates
-  * S's keys, creating fanout the naive estimator misjudges.
+  * S-values and cannot know how many land inside R), while sampling R's
+  * rows and probing S measures the overlap directly. Optional zipf skew
+  * concentrates S's keys, creating fanout the naive estimator misjudges.
   */
 object PairData {
 

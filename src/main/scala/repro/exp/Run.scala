@@ -3,7 +3,8 @@ package repro.exp
 import org.apache.spark.sql.SparkSession
 import scala.collection.immutable.ListMap
 
-/** Runs evaluation tables by name and prints them:
+/** Runs evaluation tables by name and prints each, followed by one line
+  * per bench gate (holds, FAILS or skipped):
   *
   * {{{
   * sbt "runMain repro.exp.Run T2"        # one table
@@ -11,24 +12,35 @@ import scala.collection.immutable.ListMap
   * sbt "runMain repro.exp.Run all"       # T1 … T8
   * }}}
   *
-  * Each table has one configuration, the one its `bench/` suite asserts on.
-  * A Spark session starts only when a chosen table executes plans, so T1,
-  * T4 and T8 run without one.
+  * It exits 1 if a gate fails and 2 for a missing or unknown name.
+  * Each table has one configuration, and `sbt bench/test` runs this
+  * registry. A Spark session starts only when a chosen table executes
+  * plans, so T1, T4 and T8 run without one.
   */
 object Run {
 
-  /** A table's printed lines; the argument builds the Spark session on first use. */
-  type Table = (() => SparkSession) => Seq[String]
+  /** A table's printed lines and its gates' verdicts. */
+  final case class Report(table: Seq[String], gates: Seq[Gate]) {
+    /** The table followed by one line per gate. */
+    def lines: Seq[String] = table ++ gates.map(_.line)
+    def failed: Seq[Gate]  = gates.filter(_.holds.contains(false))
+  }
+
+  /** A table's report; the argument builds the Spark session on first use. */
+  type Table = (() => SparkSession) => Report
+
+  private def report[R](rows: R)(table: R => Seq[String], gates: R => Seq[Gate]): Report =
+    Report(table(rows), gates(rows))
 
   val registry: ListMap[String, Table] = ListMap(
-    "T1" -> (_ => T1JoinOrderOpt.table(T1JoinOrderOpt.run())),
-    "T2" -> (spark => T2Synthetic.table(T2Synthetic.run(spark()))),
-    "T3" -> (spark => T3Ce.table(T3Ce.run(spark()))),
-    "T4" -> (_ => T4Simulation.table(T4Simulation.run())),
-    "T5" -> (spark => T5CostValidation.table(T5CostValidation.run(spark()))),
-    "T6" -> (spark => T6Robustness.table(T6Robustness.run(spark()))),
-    "T7" -> (spark => T7Estimation.table(T7Estimation.run(spark()))),
-    "T8" -> (_ => T8RobustSim.table(T8RobustSim.run())),
+    "T1" -> (_ => report(T1JoinOrderOpt.run())(T1JoinOrderOpt.table, T1JoinOrderOpt.gates)),
+    "T2" -> (spark => report(T2Synthetic.run(spark()))(T2Synthetic.table, T2Synthetic.gates)),
+    "T3" -> (spark => report(T3Ce.run(spark()))(T3Ce.table, T3Ce.gates)),
+    "T4" -> (_ => report(T4Simulation.run())(T4Simulation.table, T4Simulation.gates)),
+    "T5" -> (spark => report(T5CostValidation.run(spark()))(T5CostValidation.table, T5CostValidation.gates)),
+    "T6" -> (spark => report(T6Robustness.run(spark()))(T6Robustness.table, T6Robustness.gates)),
+    "T7" -> (spark => report(T7Estimation.run(spark()))(T7Estimation.table, T7Estimation.gates)),
+    "T8" -> (_ => report(T8RobustSim.run())(T8RobustSim.table, T8RobustSim.gates)),
   )
 
   /** The tables `names` ask for, in order; `all` stands for every table. */
@@ -42,19 +54,32 @@ object Run {
     }
   }
 
-  def main(args: Array[String]): Unit = {
+  /** Prints the reports of the tables `names` ask for and returns the exit
+    * status: 0 if no gate fails, 1 if one does, 2 for a missing or unknown
+    * name.
+    */
+  def run(names: Seq[String]): Int = {
     val chosen =
-      try select(args.toSeq)
-      catch { case e: IllegalArgumentException => Console.err.println(e.getMessage); sys.exit(2) }
+      try select(names)
+      catch { case e: IllegalArgumentException => Console.err.println(e.getMessage); return 2 }
     var session = Option.empty[SparkSession]
     val spark = () => session.getOrElse {
       val s = repro.Spark.session("repro-exp")
       session = Some(s)
       s
     }
-    try for (((_, table), i) <- chosen.zipWithIndex) {
-      if (i > 0) println()
-      table(spark).foreach(println)
-    } finally session.foreach(_.stop())
+    val reports =
+      try chosen.zipWithIndex.map { case ((_, table), i) =>
+        if (i > 0) println()
+        val r = table(spark)
+        r.lines.foreach(println)
+        r
+      } finally session.foreach(_.stop())
+    if (reports.exists(_.failed.nonEmpty)) 1 else 0
+  }
+
+  def main(args: Array[String]): Unit = {
+    val status = run(args.toSeq)
+    if (status != 0) sys.exit(status)
   }
 }

@@ -54,4 +54,29 @@ object T1JoinOrderOpt {
       rows,
     )
   }
+
+  /** The median cost ratio of each (m-range, heuristic). */
+  def medians(results: Seq[Result]): Map[((Double, Double), String), Double] =
+    results.map(r => (r.mRange, r.heuristic) -> Tables.percentile(r.ratios, 50)).toMap
+
+  /** Paper shape (Fig 10): survival probability ≈ optimal in nearly all
+    * cases; rank ordering worst, sometimes by orders of magnitude.
+    */
+  def gates(results: Seq[Result]): Seq[Gate] = {
+    val med = medians(results)
+    val perRange = mRanges.flatMap { mr =>
+      val (surv, rank) = (med((mr, "survival")), med((mr, "rank")))
+      val range = s"[${mr._1},${mr._2}]"
+      Seq(
+        // The paper's ordering of the three heuristics.
+        Gate(s"$range: survival median <= rank median + 1e-9", Some(surv <= rank + 1e-9),
+          s"survival ${Tables.fmt(surv)}, rank ${Tables.fmt(rank)}"),
+        Gate(s"$range: survival median <= 1.6 (close to optimal)", Some(surv <= 1.6),
+          s"survival ${Tables.fmt(surv)}"))
+    }
+    // Rank ordering blows up in at least one configuration (orders of magnitude).
+    val worstRank = results.filter(_.heuristic == "rank").flatMap(_.ratios).max
+    perRange :+ Gate("worst rank ratio > 3.0 (rank ordering degrades)", Some(worstRank > 3.0),
+      s"worst ${Tables.fmt(worstRank)}")
+  }
 }

@@ -72,4 +72,31 @@ object T2Synthetic {
     Harness.vsComTable(
       "T2 / Fig 11 - synthetic benchmark, six approaches (ratios vs COM flat)",
       Seq("shape", "m-range", "approach", "output"), rows)
+
+  /** Paper shape (Fig 11): COM variants beat STD variants (often by orders
+    * of magnitude; STD sometimes times out); BVP or SJ alone are not
+    * competitive with COM.
+    */
+  def gates(rows: Seq[RunRow]): Seq[Gate] = {
+    val ok = rows.filter(r => r.status == "ok" && r.outMode == "flat")
+    def probes(shape: String, mr: String, a: String): Option[Double] =
+      ok.find(r => r.shape == shape && r.mRange == mr && r.approach == a).map(_.weighted)
+    // For every query, COM's weighted probes never exceed STD's (when STD
+    // did not time out), and COM clearly beats STD on some query, or STD
+    // times out on one.
+    val pairs = for {
+      s  <- rows.map(_.shape).distinct
+      mr <- rows.map(_.mRange).distinct
+      c  <- probes(s, mr, "COM")
+      st <- probes(s, mr, "STD")
+    } yield (c, st)
+    val timeouts   = rows.count(r => r.status == "TIMEOUT")
+    val strictWins = pairs.count { case (c, st) => c < st * 0.8 }
+    Seq(
+      Gate("COM <= STD * 1.05 in weighted probes on every flat query",
+        Some(pairs.forall { case (c, st) => c <= st * 1.05 }),
+        pairs.map { case (c, st) => c / st }.maxOption.fold("no query")(r => s"worst COM/STD ${Tables.fmt(r)}")),
+      Gate("COM < STD * 0.8 on some query, or an STD TIMEOUT", Some(strictWins + timeouts > 0),
+        s"$strictWins of ${pairs.size} queries, $timeouts timeouts"))
+  }
 }

@@ -72,4 +72,25 @@ object T3Ce {
     Harness.vsComTable(
       "T3 / Fig 12 - CE-benchmark substitute, six approaches (ratios vs COM)",
       Seq("dataset", "query", "approach"), rows)
+
+  /** Paper shape (Fig 12): same as the synthetic benchmark, COM variants
+    * dominate STD variants on exploding self-join patterns.
+    */
+  def gates(rows: Seq[RunRow]): Seq[Gate] = {
+    val ok = rows.filter(_.status == "ok")
+    // COM never worse than STD on weighted probes for the same query.
+    val viol = for {
+      (ds, qn) <- ok.map(r => (r.dataset, r.query)).distinct
+      c  <- ok.find(r => r.dataset == ds && r.query == qn && r.approach == "COM")
+      st <- ok.find(r => r.dataset == ds && r.query == qn && r.approach == "STD")
+      if c.weighted > st.weighted * 1.05
+    } yield (ds, qn)
+    val datasets = rows.map(_.dataset).distinct.size
+    Seq(
+      Gate("some queries execute", Some(ok.nonEmpty), s"${ok.size} ok runs"),
+      Gate("COM <= STD * 1.05 in weighted probes on every query", Some(viol.isEmpty),
+        if (viol.isEmpty) "" else s"COM worse than STD on: $viol"),
+      // Every dataset contributed at least one executed or skipped query row.
+      Gate("all 5 datasets report a row", Some(datasets == 5), s"$datasets datasets"))
+  }
 }

@@ -49,4 +49,27 @@ object T4Simulation {
       "T4 / Fig 13 - analytic weighted cost (per-plan total, driver 1e5, flat output)",
       header, rows)
   }
+
+  /** Paper shape (Fig 13): STD variants competitive at low m, COM variants
+    * win increasingly as m (and fo) grow; BVP+COM best at low m, plain COM
+    * best at the highest m.
+    */
+  def gates(cells: Seq[Cell]): Seq[Gate] = {
+    // COM's advantage over BVP+STD grows with m for high fanout.
+    val growth = Seq("star7", "path11").map { shape =>
+      val hiFo    = cells.filter(c => c.shape == shape && c.fo == 5.0).sortBy(_.m)
+      val gapLow  = hiFo.head.costs("BVP+STD") / hiFo.head.costs("COM")
+      val gapHigh = hiFo.last.costs("BVP+STD") / hiFo.last.costs("COM")
+      Gate(s"$shape, fo 5: BVP+STD/COM at the highest m >= at the lowest", Some(gapHigh >= gapLow),
+        s"${Tables.fmt(gapLow)} -> ${Tables.fmt(gapHigh)}")
+    }
+    // At the highest match probabilities plain COM is best among COM variants
+    // (bitvector / semi-join probes are pure overhead there).
+    val top = cells.filter(c => c.m >= 0.9)
+    val comBest = top.count(c =>
+      c.costs("COM") <= c.costs("BVP+COM") + 1e-9 &&
+      c.costs("COM") <= c.costs("SJ+COM") + 1e-9)
+    growth :+ Gate("m >= 0.9: COM <= BVP+COM + 1e-9 and <= SJ+COM + 1e-9 in >= 3/4 of cells",
+      Some(comBest >= top.size * 3 / 4), s"$comBest of ${top.size} cells")
+  }
 }

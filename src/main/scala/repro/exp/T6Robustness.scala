@@ -50,4 +50,22 @@ object T6Robustness {
           Tables.fmt(r.normalized.max),
           Tables.fmt(r.normalized.max - r.normalized.min))
       })
+
+  /** Paper shape (Fig 15): COM variants are far more robust than STD; the
+    * SJ+COM combination shows almost no variation across orders (Thm 3.5).
+    */
+  def gates(rows: Seq[Row]): Seq[Gate] =
+    rows.map(_.query).distinct.flatMap { q =>
+      def spread(a: String): Double = {
+        val r = rows.find(x => x.query == q && x.approach == a).get
+        r.normalized.max - r.normalized.min
+      }
+      Seq(
+        // SJ+COM: essentially order-independent.
+        Gate(s"$q: SJ+COM spread < 0.05", Some(spread("SJ+COM") < 0.05),
+          s"spread ${Tables.fmt(spread("SJ+COM"))}"),
+        // COM no less robust than STD on the same query (small tolerance).
+        Gate(s"$q: COM spread <= STD spread + 0.10", Some(spread("COM") <= spread("STD") + 0.10),
+          s"COM ${Tables.fmt(spread("COM"))}, STD ${Tables.fmt(spread("STD"))}"))
+    }
 }

@@ -1,8 +1,7 @@
 package repro.exp
 
 /** Tiny fixed-width table formatter + order statistics for the experiment
-  * harnesses. Every experiment renders its results through this so the
-  * bench output and the `Run` output look identical.
+  * harnesses, which render every table through it.
   */
 object Tables {
 

@@ -19,8 +19,14 @@ import repro.core.{EdgeStats, JoinTree, Optimizer}
   * Statistics are keyed by the equi-join column-name pair
   * (parent column, child column) — in this repository every relation's
   * columns are globally uniquely named, which makes the key unambiguous.
-  * Chains with an unknown edge, non-equi conditions, bushy shapes, or more
-  * than `JoinTree.MaxRelations` relations are left untouched.
+  * The chain under a join is its left spine of inner joins on one
+  * equality each; the spine ends at the first other operator (a join of
+  * another type or condition, or one with a join on its right side), which
+  * is then the chain's driver. A join is kept as written when its chain has an
+  * unknown edge, or fewer than 3 or more than `JoinTree.MaxRelations`
+  * relations. The rule still visits the joins below a kept one, so a
+  * sub-chain that qualifies is reordered on its own: for example the known
+  * prefix of a chain whose last edge has no statistics.
   *
   * Inject via `spark.experimental.extraOptimizations`. A rebuilt chain is
   * tagged so the fixpoint driver does not re-enter it.

@@ -3,25 +3,20 @@ package repro.exp
 import org.scalatest.funsuite.AnyFunSuite
 
 /** Fast sanity checks of the pure-math experiment harnesses and of the
-  * experiment runner (the full runs live in bench/). */
+  * experiment runner; the gates of the Spark tables run in bench/. */
 class ExperimentSmokeSpec extends AnyFunSuite {
   import ExperimentSmokeSpec.VsRow
 
   test("T1 harness: survival heuristic is the best of the three (small run)") {
     val results = T1JoinOrderOpt.run(trees = 10, maxNodes = 10, seed = 3L)
     assert(results.nonEmpty)
-    val medians = Med.medians(results)
+    val medians = T1JoinOrderOpt.medians(results)
     // survival must not be worse than rank ordering in the median
     for (mr <- T1JoinOrderOpt.mRanges) {
       assert(medians((mr, "survival")) <= medians((mr, "rank")) + 1e-9,
         s"range $mr: ${medians((mr, "survival"))} vs ${medians((mr, "rank"))}")
     }
     assert(T1JoinOrderOpt.table(results).nonEmpty)
-  }
-
-  private object Med {
-    def medians(rs: Seq[T1JoinOrderOpt.Result]): Map[((Double, Double), String), Double] =
-      rs.map(r => (r.mRange, r.heuristic) -> Tables.percentile(r.ratios, 50)).toMap
   }
 
   test("T1 ratios are always >= 1 (optimal is a lower bound)") {
@@ -81,11 +76,21 @@ class ExperimentSmokeSpec extends AnyFunSuite {
   }
 
   test("Run T4 prints T4Simulation.table(T4Simulation.run()) without Spark") {
-    val out = new java.io.ByteArrayOutputStream
-    Console.withOut(out)(Run.main(Array("T4")))
-    val expected = T4Simulation.table(T4Simulation.run()).map(_ + System.lineSeparator).mkString
+    val out    = new java.io.ByteArrayOutputStream
+    val status = Console.withOut(out)(Run.run(Seq("T4")))
+    val cells  = T4Simulation.run()
+    val expected = (T4Simulation.table(cells) ++ T4Simulation.gates(cells).map(_.line))
+      .map(_ + System.lineSeparator).mkString
     assert(out.toString("UTF-8") == expected)
-    assert(Run.registry("T4")(() => fail("T4 must not start Spark")).nonEmpty)
+    assert(status == 0)
+  }
+
+  test("T1, T4 and T8 hold every gate at full configuration, without Spark") {
+    for (name <- Seq("T1", "T4", "T8")) {
+      val report = Run.registry(name)(() => fail(s"$name must not start Spark"))
+      assert(report.gates.nonEmpty, name)
+      for (g <- report.gates) assert(g.holds.contains(true), s"$name: ${g.line}")
+    }
   }
 
   test("vsComTable divides each ok row's probes by the ok COM row of its query") {

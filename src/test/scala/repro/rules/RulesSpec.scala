@@ -142,6 +142,19 @@ class RulesSpec extends SparkSpec {
     assertUntouched(chain(Seq(2, 1, 3)), ManyToManyReorder((_, _) => None), written)
   }
 
+  test("ManyToManyReorder reorders the known prefix of a chain whose last edge has no statistics") {
+    // The rule declines the whole chain, since R3's edge is unknown, but
+    // then visits the joins below it: R0 ⋈ R2 ⋈ R1 has known statistics,
+    // and Algorithm 1 joins R1 (m = 0.3) before R2 (m = 0.6).
+    val lastUnknown: (String, String) => Option[EdgeStats] =
+      (pc, cc) => if (cc == q.childCol(3)) None else statsOf(pc, cc)
+    withRules(ManyToManyReorder(lastUnknown)) {
+      val df = chain(Seq(2, 1, 3))
+      assert(joinOrder(df) == Seq(Set(1), Set(2), Set(3)))
+      repro.Oracle.assertEquivalent(df, q.flatSql, q.oracleTables: _*)
+    }
+  }
+
   test("ManyToManyReorder leaves a chain with a non-equi join condition untouched") {
     // The middle join's condition is an equality AND a (here redundant)
     // inequality, so no EqualTo chain of three or more relations is left.
