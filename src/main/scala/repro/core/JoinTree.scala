@@ -163,22 +163,24 @@ object JoinTree {
     ), driverSize)
   }
 
-  /** Random join tree following §5.1: root gets [2, maxRootKids] children,
-    * every other node [0, maxKids]; match probabilities uniform in `mRange`,
+  private val MaxRootKids = 5
+  private val MaxKids     = 3
+
+  /** Random join tree following §5.1: root gets [2, MaxRootKids] children,
+    * every other node [0, MaxKids]; match probabilities uniform in `mRange`,
     * fanouts uniform in `foRange`. Generation proceeds breadth-first until
     * `nNodes` relations exist.
     */
   def random(nNodes: Int, mRange: (Double, Double), foRange: (Double, Double),
-             rng: Random, maxRootKids: Int = 5, maxKids: Int = 3,
-             driverSize: Double = 1.0): JoinTree = {
+             rng: Random, driverSize: Double = 1.0): JoinTree = {
     require(nNodes >= 2)
     val parents = scala.collection.mutable.ArrayBuffer(-1)
     val queue   = scala.collection.mutable.Queue(0)
     while (parents.length < nNodes && queue.nonEmpty) {
       val p    = queue.dequeue()
       val kids =
-        if (p == 0) 2 + rng.nextInt(maxRootKids - 1)
-        else rng.nextInt(maxKids + 1)
+        if (p == 0) 2 + rng.nextInt(MaxRootKids - 1)
+        else rng.nextInt(MaxKids + 1)
       var k = 0
       while (k < kids && parents.length < nNodes) {
         parents += p

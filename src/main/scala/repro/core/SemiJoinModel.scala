@@ -101,15 +101,4 @@ object SemiJoinModel {
     */
   def phase2OrderStd(tree: JoinTree): List[Int] =
     Optimizer.greedy(reducedTree(tree), Optimizer.Heuristic.RankOrdering)
-
-  /** Phase-2 join order for SJ+COM. By Theorem 3.5 the COM cost is
-    * order-independent once all match probabilities are 1; we emit the
-    * paper's canonical order (ascending product of fanouts from the root).
-    */
-  def phase2OrderCom(tree: JoinTree): List[Int] = {
-    val rt = reducedTree(tree)
-    def pathFanout(l: Int): Double =
-      rt.pathFromRoot(l).filter(_ != 0).map(rt.stats(_).fo).product
-    Optimizer.buildOrder(rt)((el, _) => el.minBy(pathFanout))
-  }
 }

@@ -31,16 +31,12 @@ object GraphData {
     * Deterministic in the seed.
     */
   def edges(spark: SparkSession, cfg: Config, seed: Long = 7L): DataFrame = {
-    val norm = Draw.zipfNorm(cfg.vertices, cfg.alpha)
-    val u1   = Draw.u01(col("id"), seed)
-    val u2   = Draw.u01(col("id"), seed + 1)
+    val u1 = Draw.u01(col("id"), seed)
+    val u2 = Draw.u01(col("id"), seed + 1)
     spark.range(cfg.edges).select(
       col("id").as("eid"),
       (u1 * cfg.vertices + 1).cast("long").as("src"),
-      least(lit(cfg.vertices),
-        greatest(lit(1L),
-          pow(lit(1.0) / (u2 * norm + 1e-9), lit(1.0 / cfg.alpha)).cast("long"),
-        )).as("dst"),
+      Draw.zipf(u2, cfg.vertices, cfg.alpha).as("dst"),
     )
   }
 

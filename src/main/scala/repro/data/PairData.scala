@@ -24,12 +24,8 @@ object PairData {
     // of its values fall inside R's domain [1, nR].
     val lo = ((1.0 - overlap) * nR).toLong
     val pos = alpha match {
-      case None => (u * nR).cast("long") // uniform position in the window
-      case Some(a) =>
-        val norm = Draw.zipfNorm(nR, a)
-        least(lit(nR - 1),
-          greatest(lit(0L),
-            (pow(lit(1.0) / (u * norm + 1e-9), lit(1.0 / a)) - 1).cast("long")))
+      case None    => (u * nR).cast("long") // uniform position in the window
+      case Some(a) => Draw.zipf(u, nR, a) - 1
     }
     val s = spark.range(nS).select((lit(lo) + lit(1L) + pos).as("a"))
     (r, s)

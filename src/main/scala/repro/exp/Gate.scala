@@ -1,6 +1,6 @@
 package repro.exp
 
-/** One bench gate's verdict: a claim about the paper's shape, checked on a
+/** One gate's verdict: a claim about the paper's shape, checked on a
   * table's results; `holds` is None when the gate was skipped. The note
   * gives the measured values, or why the gate was skipped.
   */

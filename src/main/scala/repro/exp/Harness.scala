@@ -52,6 +52,12 @@ object Harness {
                 rng: Random): Seq[EdgeStats] =
     Seq.fill(n)(EdgeStats(mLo + rng.nextDouble() * mWidth, foLo + rng.nextDouble() * foWidth))
 
+  /** The first `n` distinct orders among uniformly random valid orders of
+    * `tree`; it has to have at least `n` valid orders.
+    */
+  def distinctOrders(tree: JoinTree, n: Int, rng: Random): List[List[Int]] =
+    Iterator.continually(Optimizer.randomOrder(tree, rng)).distinct.take(n).toList
+
   /** Generates `tree`'s relations, caches and materializes them, runs
     * `body` on the query, and unpersists them afterwards.
     */

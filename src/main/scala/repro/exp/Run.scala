@@ -4,7 +4,7 @@ import org.apache.spark.sql.SparkSession
 import scala.collection.immutable.ListMap
 
 /** Runs evaluation tables by name and prints each, followed by one line
-  * per bench gate (holds, FAILS or skipped):
+  * per gate (holds, FAILS or skipped):
   *
   * {{{
   * sbt "runMain repro.exp.Run T2"        # one table
@@ -12,10 +12,10 @@ import scala.collection.immutable.ListMap
   * sbt "runMain repro.exp.Run all"       # T1 … T8
   * }}}
   *
-  * It exits 1 if a gate fails and 2 for a missing or unknown name.
-  * Each table has one configuration, and `sbt bench/test` runs this
-  * registry. A Spark session starts only when a chosen table executes
-  * plans, so T1, T4 and T8 run without one.
+  * It exits 1 if a gate fails and 2 for a missing or unknown name. It is
+  * the one way to print a table and check its gates, and each table has
+  * one configuration. A Spark session starts only when a chosen table
+  * executes plans, so T1, T4 and T8 run without one.
   */
 object Run {
 

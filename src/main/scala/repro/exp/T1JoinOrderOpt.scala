@@ -21,13 +21,17 @@ object T1JoinOrderOpt {
   def comCost(tree: JoinTree, order: Seq[Int]): Double =
     CostModel.cost(tree, order, Approach.Com, flatOutput = false).htProbes
 
-  def run(trees: Int = 100, maxNodes: Int = 18, seed: Long = 1L): Seq[Result] = {
+  val Trees    = 100
+  val MaxNodes = 18
+  val Seed     = 1L
+
+  def run(): Seq[Result] = {
     mRanges.flatMap { mr =>
-      val rng = new Random(seed + (mr._1 * 1000).toLong)
+      val rng = new Random(Seed + (mr._1 * 1000).toLong)
       val ratios = scala.collection.mutable.Map[String, List[Double]]()
         .withDefaultValue(Nil)
-      for (_ <- 0 until trees) {
-        val n    = 8 + rng.nextInt(maxNodes - 7)
+      for (_ <- 0 until Trees) {
+        val n    = 8 + rng.nextInt(MaxNodes - 7)
         val tree = JoinTree.random(n, mr, (1.0, 10.0), rng)
         val (_, opt) = Optimizer.exhaustiveCom(tree)
         for (h <- Optimizer.Heuristic.all) {
@@ -55,15 +59,11 @@ object T1JoinOrderOpt {
     )
   }
 
-  /** The median cost ratio of each (m-range, heuristic). */
-  def medians(results: Seq[Result]): Map[((Double, Double), String), Double] =
-    results.map(r => (r.mRange, r.heuristic) -> Tables.percentile(r.ratios, 50)).toMap
-
   /** Paper shape (Fig 10): survival probability ≈ optimal in nearly all
     * cases; rank ordering worst, sometimes by orders of magnitude.
     */
   def gates(results: Seq[Result]): Seq[Gate] = {
-    val med = medians(results)
+    val med = results.map(r => (r.mRange, r.heuristic) -> Tables.percentile(r.ratios, 50)).toMap
     val perRange = mRanges.flatMap { mr =>
       val (surv, rank) = (med((mr, "survival")), med((mr, "rank")))
       val range = s"[${mr._1},${mr._2}]"

@@ -16,13 +16,15 @@ object T4Simulation {
   final case class Cell(shape: String, fo: Double, m: Double, costs: Map[String, Double])
 
   /** Per-approach order choice mirrors §5: COM variants via Algorithm 1,
-    * STD variants via rank ordering, SJ phase-2 via its closed-form optimum.
+    * STD variants via rank ordering, SJ+STD's phase 2 via its closed-form
+    * optimum. SJ+COM costs the same in every valid phase-2 order (Thm 3.5),
+    * so it takes node order, which is valid since parents precede children.
     */
   def orderFor(tree: JoinTree, a: Approach): Seq[Int] = a match {
     case Approach.Com    => Optimizer.exhaustiveCom(tree)._1
     case Approach.BvpCom => Optimizer.exhaustiveBvpCom(tree)._1
     case Approach.SjStd  => SemiJoinModel.phase2OrderStd(tree)
-    case Approach.SjCom  => SemiJoinModel.phase2OrderCom(tree)
+    case Approach.SjCom  => (1 until tree.n).toList
     case _               => Optimizer.greedy(tree, Optimizer.Heuristic.RankOrdering)
   }
 
@@ -51,8 +53,8 @@ object T4Simulation {
   }
 
   /** Paper shape (Fig 13): STD variants competitive at low m, COM variants
-    * win increasingly as m (and fo) grow; BVP+COM best at low m, plain COM
-    * best at the highest m.
+    * win increasingly as m (and fo) grow and beat BVP+STD at high m; BVP+COM
+    * best at low m, plain COM best at the highest m.
     */
   def gates(cells: Seq[Cell]): Seq[Gate] = {
     // COM's advantage over BVP+STD grows with m for high fanout.
@@ -69,7 +71,18 @@ object T4Simulation {
     val comBest = top.count(c =>
       c.costs("COM") <= c.costs("BVP+COM") + 1e-9 &&
       c.costs("COM") <= c.costs("SJ+COM") + 1e-9)
-    growth :+ Gate("m >= 0.9: COM <= BVP+COM + 1e-9 and <= SJ+COM + 1e-9 in >= 3/4 of cells",
-      Some(comBest >= top.size * 3 / 4), s"$comBest of ${top.size} cells")
+    // At high match probability and fanout COM beats BVP+STD.
+    val hi      = cells.filter(c => c.m >= 0.8 && c.fo == 5.0)
+    val comWins = hi.count(c => c.costs("COM") <= c.costs("BVP+STD"))
+    // At low match probability bitvectors pay off for COM.
+    val lo        = cells.filter(c => c.m <= 0.2 && c.fo == 5.0)
+    val bvpBetter = lo.count(c => c.costs("BVP+COM") <= c.costs("COM"))
+    growth ++ Seq(
+      Gate("m >= 0.9: COM <= BVP+COM + 1e-9 and <= SJ+COM + 1e-9 in >= 3/4 of cells",
+        Some(comBest >= top.size * 3 / 4), s"$comBest of ${top.size} cells"),
+      Gate("m >= 0.8, fo 5: COM <= BVP+STD in every cell",
+        Some(comWins == hi.size), s"$comWins of ${hi.size} cells"),
+      Gate("m <= 0.2, fo 5: BVP+COM <= COM in >= 1/2 of cells",
+        Some(bvpBetter >= lo.size / 2), s"$bvpBetter of ${lo.size} cells"))
   }
 }

@@ -7,7 +7,8 @@ import repro.data.TreeData
 import repro.engine.Engine
 
 /** T5 (paper Fig 14, §5.5): does the cost model track real execution?
-  * For several query shapes we draw random valid join orders, predict the
+  * For several query shapes we draw `NOrders` distinct random valid join
+  * orders (path5 has exactly 6, so it runs all of them), predict the
   * weighted cost of COM and STD from the *measured* per-edge statistics,
   * execute, and report the correlation and relative error between
   * predicted cost and measured weighted probes. STD's larger error is
@@ -34,7 +35,7 @@ object T5CostValidation {
         // Predict with *measured* statistics so generator noise does not
         // blur the model-vs-execution comparison.
         val mTree  = TreeData.measuredTree(q)
-        val orders = Seq.fill(NOrders)(Optimizer.randomOrder(tree, rng)).distinct
+        val orders = Harness.distinctOrders(tree, NOrders, rng)
         for (order <- orders; a <- approaches) yield {
           val pred = CostModel.cost(mTree, order, a, flatOutput = true).total(w)
           val log  = Engine.run(q, order, a, counting = true, flatOutput = true).log

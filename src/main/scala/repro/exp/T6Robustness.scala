@@ -27,8 +27,7 @@ object T6Robustness {
       val rng  = new Random(Seed + qi)
       val tree = shape(Harness.drawStats(shape.edges, 0.2, 0.4, 1.0, 3.0, rng), Driver)
       Harness.withCachedQuery(spark, tree, Seed + 100 + qi) { q =>
-        val orders = Iterator.continually(Optimizer.randomOrder(tree, rng))
-          .distinct.take(NOrders).toList
+        val orders = Harness.distinctOrders(tree, NOrders, rng)
         Approach.all.map { a =>
           val probes = orders.map(o => Engine.run(q, o, a, counting = true).log.weighted(w))
           val maxP   = math.max(probes.max, 1e-9)

@@ -61,24 +61,33 @@ class ExecutorCraftedSpec extends SparkSpec {
 
   test("BVP+COM prunes every vector at creation") {
     val r = Engine.run(q, Seq(1, 2, 3), Approach.BvpCom)
-    assert(r.log.htProbes.values.forall(_ <= 2L))
+    // The bitvectors are BVP+STD's: F1 (R1 keys {1, 2}) and F3 ({1, 3})
+    // leave driver entry 1, which probes R1 once; its matches {11, 12} pass
+    // F2 ({11, 13}) as {11}, which probes R2 once; entry 1 probes R3 once.
+    assert(r.log.htProbes == Map(1 -> 1L, 2 -> 1L, 3 -> 1L))
+    assert(r.log.bvProbes == 4L + 2L + 2L) // F1 on 4 rows, F3 on 2, F2 on 2
     assert(r.log.outRows == 1L)
   }
 
+  // SJ phase 1: R1 ⋉ R2 checks R1's 3 rows (R1' = {11, 13}). The driver's
+  // children go by ascending adjusted m': R1's is 0.5 × (1 − (1 − 2/3)^1.5)
+  // ≈ 0.404 (R1 is reduced to 2/3), below leaf R3's 0.5, so driver ⋉ R1'
+  // checks 4 rows (leaving {1, 2}) and then ⋉ R3 checks 2 (leaving {1}):
+  // 3 + 4 + 2 = 9 semi-join probes. Phase 2 starts from driver {1}, which
+  // has one match in each relation: one probe per join.
+
   test("SJ reduces the driver fully before phase 2") {
     val r = Engine.run(q, Seq(1, 2, 3), Approach.SjStd)
-    // phase 1: R1 ⋉ R2 (3 probes), driver ⋉ R1' (4) then ⋉ R3 (…) — order
-    // of the two driver children depends on adjusted m'; totals only:
-    assert(r.log.semiProbes > 0)
-    // phase 2 driver = {1}: probes are all 1
-    assert(r.log.htProbes.values.forall(_ == 1L))
+    assert(r.log.semiProbes == 3L + 4L + 2L)
+    assert(r.log.htProbes == Map(1 -> 1L, 2 -> 1L, 3 -> 1L))
     assert(r.log.outRows == 1L)
   }
 
   test("SJ+COM produces the same single result row") {
     val r = Engine.run(q, Seq(1, 2, 3), Approach.SjCom)
+    assert(r.log.semiProbes == 3L + 4L + 2L)
+    assert(r.log.htProbes == Map(1 -> 1L, 2 -> 1L, 3 -> 1L))
     assert(r.log.outRows == 1L)
-    assert(r.log.semiProbes > 0)
   }
 
   test("all six approaches return exactly the same flat result") {
