@@ -5,10 +5,9 @@ import org.apache.spark.sql.SparkSession
 /** The repository's one Spark configuration, shared by the experiment
   * runner and the tests: local mode unless `SPARK_MASTER` names another
   * master, 8 shuffle partitions (the datasets are small, so scheduling
-  * overhead dominates otherwise), and automatic broadcast joins off: a
-  * user-written join (the Catalyst rules' chains, `Estimation`) is planned
-  * by Spark without size-based broadcasts, while `repro.engine.Engine`
-  * states its physical joins itself and broadcasts every build side.
+  * overhead dominates otherwise), and automatic broadcast joins off, so a
+  * DataFrame join (the Catalyst rules' chains, `Estimation`) is planned by
+  * Spark without size-based broadcasts.
   */
 object Spark {
   def session(app: String): SparkSession = {

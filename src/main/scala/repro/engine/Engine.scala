@@ -1,7 +1,10 @@
 package repro.engine
 
-import org.apache.spark.sql.{DataFrame, Observation}
-import org.apache.spark.sql.functions._
+import java.util.BitSet
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.types.{LongType, StructField, StructType}
+import scala.collection.mutable
 import repro.core.{Approach, CostModel, SemiJoinModel}
 import repro.data.TreeQuery
 
@@ -10,22 +13,24 @@ import repro.data.TreeQuery
   */
 final case class ExecResult(flat: Option[DataFrame], log: ProbeLog)
 
-/** Runs a left-deep pipelined plan under one of the six approaches (§4.1).
+/** Runs a left-deep pipelined plan under one of the six approaches (§4.1),
+  * in two Spark jobs, counted or not:
   *
-  * Every join is a broadcast hash join (`hashJoin`): the stream probes a
-  * hash table built on the relation (STD), on `A(l)` (COM's expansion) or
-  * on a key set, so each plan is one pipeline over the driver's rows with
-  * no shuffle and no sort. Bitvectors (§4.4), COM's survival and selection
-  * vectors (§4.2–4.3) and SJ's phase 1 (§4.5) are all one operation,
-  * Yannakakis' semi-join reduction: a node's rows are reduced by its
-  * children's key sets (`reduce`). Each key-set filter is a plain
-  * left-semi join against a broadcast key set, the exact-filter analog of
-  * the paper's bitvector (ε = 0); see DESIGN.md §3.
+  *  1. One job collects the columns the plan needs from relations 1…n−1.
+  *     The driver indexes each relation by its join key (`KeyIndex`), runs
+  *     SJ's phase 1 on them (the build sides are global), and broadcasts
+  *     them with the plan.
+  *  2. One job runs the approach over each partition of the driver
+  *     relation (`Pipeline`), in vectors, and returns the partition's
+  *     counts.
   *
-  * A call runs no Spark job that does no necessary work: one per broadcast
-  * build side and one per count (`rows`). Checkpoints are lazy, so the
-  * first job that reads one fills it, and COM skips a top-down filter that
-  * cannot remove an entry.
+  * No job shuffles. Both jobs read the relations through their own query
+  * plans (`queryExecution.toRdd`), which Spark plans once per DataFrame,
+  * so a call plans no query; a relation persisted after the engine first
+  * read it is still read from its source. A build side is held in the
+  * driver's memory, as the paper's hash tables are: one too large for job
+  * 1's collect fails it through `spark.driver.maxResultSize` rather than
+  * spilling. Every join and key column must be a non-null bigint.
   */
 object Engine {
   /** Runs `approach` over `q` in `order` (for SJ, the phase-2 order).
@@ -35,160 +40,122 @@ object Engine {
     * Bitvector and semi-join probes = rows entering each key-set filter. All
     * are counted only when `counting`. `flatOutput = false`
     * returns the factorized result (the alive entries of every node, COM
-    * family only).
+    * family only). The flat result is a lazy DataFrame over the same
+    * pipeline, with the columns `q.outputCols`.
     */
   def run(q: TreeQuery, order: Seq[Int], approach: Approach,
           counting: Boolean = true, flatOutput: Boolean = true): ExecResult = {
-    CostModel.validateOrder(q.tree, order)
+    val t = q.tree
+    CostModel.validateOrder(t, order)
     require(flatOutput || approach.usesCom, s"${approach.name} has no factorized output")
-    new Execution(q, approach, counting).run(order, flatOutput)
+
+    // The columns each relation contributes: its key, its join column and
+    // the join columns of its children.
+    val names = (0 until t.n).map { i =>
+      ((q.keyCol(i) +: (if (i == 0) Nil else Seq(q.childCol(i)))) ++ t.children(i).map(q.parentCol)).distinct
+    }
+    for (i <- 0 until t.n; c <- names(i)) {
+      val dt = q.rels(i).schema(c).dataType
+      require(dt == LongType, s"column $c of relation $i is ${dt.simpleString}, not bigint")
+    }
+    val ordinals = (0 until t.n).map(i => names(i).map(q.rels(i).schema.fieldIndex).toArray)
+    val keyAt  = Array.tabulate(t.n)(i => names(i).indexOf(q.keyCol(i)))
+    val linkAt = Array.tabulate(t.n)(i => if (i == 0) -1 else names(t.parent(i)).indexOf(q.parentCol(i)))
+    val cols   = collect(q, ordinals)
+
+    // SJ phase 1 (§4.5, Yannakakis §3.6) on relations 1…n−1, bottom-up:
+    // each is reduced by its already reduced children in ascending
+    // adjusted-match-probability order; the pipeline reduces the driver.
+    val p1    = SemiJoinModel.phase1Order(t)
+    val index = new Array[KeyIndex](t.n)
+    var semi  = 0L
+    for (i <- (t.n - 1) to 1 by -1) {
+      if (approach.semiJoins) {
+        var rows = Array.range(0, cols(i)(0).length)
+        for (c <- p1(i)) {
+          semi += rows.length
+          val links = cols(i)(linkAt(c))
+          rows = rows.filter(r => index(c).contains(links(r)))
+        }
+        cols(i) = cols(i).map(c => rows.map(c))
+      }
+      index(i) = KeyIndex(cols(i)(names(i).indexOf(q.childCol(i))))
+    }
+    val drivers =
+      if (approach.semiJoins) p1(0).toArray
+      else if (approach.bitvectors) t.children(0).toArray
+      else Array.emptyIntArray
+    val plan = new Plan(t.parent.clone(), t.children.map(_.toArray), order.toArray, approach,
+      counting, flatOutput, cols, ordinals(0), keyAt, linkAt, index, drivers)
+
+    val driver = q.rels(0).queryExecution.toRdd
+    val bc     = driver.sparkContext.broadcast(plan)
+    val parts  = driver.mapPartitions(rows => Iterator.single(new Pipeline(bc.value, null).run(rows))).collect()
+
+    val steps = order.indices
+    def union(rows: Counters => BitSet): BitSet = {
+      val u = new BitSet
+      parts.foreach(p => u.or(rows(p)))
+      u
+    }
+    val out = parts.map(_.out).sum +
+      (if (flatOutput) 0L else (1 until t.n).map(i => union(_.aliveRows(i)).cardinality.toLong).sum)
+    val log =
+      if (!counting) ProbeLog(Map.empty, 0L, 0L, out)
+      else {
+        // A COM-family count of rows other than the driver's is the size of
+        // the union of the partitions' row sets (DESIGN.md §4).
+        val ht = steps.map { s =>
+          order(s) ->
+            (if (approach.usesCom && t.parent(order(s)) != 0) union(_.parentRows(s)).cardinality.toLong
+             else parts.map(_.ht(s)).sum)
+        }.toMap
+        val comBv =
+          if (!(approach.usesCom && approach.bitvectors)) 0L
+          else steps.map { s =>
+            val l       = order(s)
+            val matched = union(_.matchedRows(s))
+            Iterator.iterate(matched.nextSetBit(0))(r => matched.nextSetBit(r + 1)).takeWhile(_ >= 0)
+              .map(r => Plan.reached(plan.passed(plan.children(l), cols(l), r), t.children(l).length).toLong).sum
+          }.sum
+        ProbeLog(ht, parts.map(_.bv).sum + comBv, semi + parts.map(_.semi).sum, out)
+      }
+
+    val flat = if (!flatOutput) None else {
+      val schema = StructType(q.outputCols.map(StructField(_, LongType, nullable = false)))
+      val rows   = driver.mapPartitions(r => Pipeline.tuples(bc.value, r).map(ks => Row.fromSeq(ks.toSeq)))
+      Some(q.rels(0).sparkSession.createDataFrame(rows, schema))
+    }
+    ExecResult(flat, log)
   }
 
-  private final class Execution(q: TreeQuery, approach: Approach, counting: Boolean) {
-    val t    = q.tree
-    var ht   = Map.empty[Int, Long]
-    var bv   = 0L
-    var semi = 0L
-
-    /** The pipeline's one join: `stream` probes a hash table built on
-      * `build` (Spark's broadcast hash join, build side right), so no join
-      * shuffles or sorts either input.
-      */
-    def hashJoin(stream: DataFrame, build: DataFrame, streamCol: String, buildCol: String,
-                 how: String): DataFrame =
-      stream.join(broadcast(build), col(streamCol) === col(buildCol), how)
-
-    /** Rows of `df` whose `onCol` occurs in column `keyCol` of `keys`. The
-      * key side is projected but not deduplicated, since a left-semi join
-      * emits each left row at most once.
-      */
-    def keep(df: DataFrame, onCol: String, keys: DataFrame, keyCol: String): DataFrame =
-      hashJoin(df, keys.select(col(keyCol).as("v")), onCol, "v", "left_semi")
-
-    /** `df` (rows at a node's level) reduced by the key sets `keys(c)` of
-      * the children `kids`, in turn; `probe` sees each filter's input.
-      */
-    def reduce(df: DataFrame, kids: Seq[Int], keys: Int => DataFrame,
-               probe: DataFrame => Unit = _ => ()): DataFrame =
-      kids.foldLeft(df) { (d, c) => probe(d); keep(d, q.parentCol(c), keys(c), q.childCol(c)) }
-
-    /** With BVP, `df` (rows at node i's level) filtered by the key sets of
-      * i's children, applied as soon as i's join attribute exists.
-      */
-    def bitvectors(i: Int, df: DataFrame): DataFrame =
-      if (!approach.bitvectors) df
-      else reduce(df, t.children(i), q.rels, d => if (counting) bv += rows(d))
-
-    /** Rows of `df` in one Spark job: an observed `count(1)` over a no-op
-      * write. `count()` takes two under adaptive execution, the second to
-      * gather the per-partition partial counts.
-      */
-    def rows(df: DataFrame): Long = {
-      val n = Observation()
-      df.observe(n, count(lit(1)).as("n")).write.format("noop").mode("overwrite").save()
-      n.get("n").asInstanceOf[Long]
-    }
-
-    def run(order: Seq[Int], flatOutput: Boolean): ExecResult = {
-      val rels        = if (approach.semiJoins) phase1() else q.rels
-      val (flat, out) = if (approach.usesCom) com(rels, order, flatOutput) else std(rels, order)
-      ExecResult(flat, ProbeLog(ht, bv, semi, out))
-    }
-
-    /** SJ phase 1 (§4.5, Yannakakis §3.6): every internal node reduced
-      * bottom-up against its (already reduced) children in ascending
-      * adjusted-match-probability order; the driver ends fully reduced,
-      * leaves untouched.
-      */
-    def phase1(): IndexedSeq[DataFrame] = {
-      val order   = SemiJoinModel.phase1Order(t)
-      val reduced = new Array[DataFrame](t.n)
-      for (i <- (t.n - 1) to 0 by -1) {
-        val kids = order(i)
-        val r    = reduce(q.rels(i), kids, reduced(_), d => if (counting) semi += rows(d))
-        // Truncate lineage: phase 2 re-derives plans over these reductions.
-        reduced(i) = if (kids.isEmpty) r else r.localCheckpoint(eager = false)
+  /** Job 1: the columns at `ordinals(i)` of relations 1…n−1, as `Long`
+    * arrays, in one job over their union. `cols(0)` is empty.
+    */
+  private def collect(q: TreeQuery, ordinals: IndexedSeq[Array[Int]]): Array[Array[Array[Long]]] = {
+    val n    = q.tree.n
+    val cols = Array.fill(n)(Array.empty[Array[Long]])
+    if (n > 1) {
+      val rdds = (1 until n).map { i =>
+        val ords = ordinals(i)
+        q.rels(i).queryExecution.toRdd.mapPartitions(rows => Iterator.single(i -> columns(rows, ords, i)))
       }
-      reduced.toIndexedSeq
-    }
-
-    /** STD (§4.1): the flat left-deep pipeline, with BVP's bitvectors
-      * applied to the stream: the driver's before the first join, the rest
-      * right after their parent's join.
-      */
-    def std(rels: IndexedSeq[DataFrame], order: Seq[Int]): (Option[DataFrame], Long) = {
-      var cur = bitvectors(0, rels(0))
-      for (l <- order) {
-        if (counting) ht += l -> rows(cur)
-        cur = bitvectors(l, hashJoin(cur, rels(l), q.parentCol(l), q.childCol(l), "inner"))
-      }
-      output(cur)
-    }
-
-    /** COM (§4.2–4.3): the factorized representation, one DataFrame `A(i)`
-      * of matched entries per join-tree node, with survival ("selection
-      * vector") semantics recomputed from the match sets. This is the
-      * executable mirror of Eq. (1). With BVP, every `A(i)` is filtered at
-      * creation by the key sets of i's children.
-      */
-    def com(rels: IndexedSeq[DataFrame], order: Seq[Int],
-            flatOutput: Boolean): (Option[DataFrame], Long) = {
-      val A      = new Array[DataFrame](t.n)
-      var joined = Vector(0) // the evaluated nodes, in join order
-      def eval(i: Int): Boolean = joined.contains(i)
-
-      /** i's entries that survive i's evaluated subtree (bottom-up). */
-      def survivors(i: Int): DataFrame =
-        reduce(A(i), t.children(i).filter(eval), survivors)
-
-      /** Alive entries at p's level: p's entries whose parent entry is alive
-        * (top-down along root → p) and that survive p's evaluated branches
-        * other than `onPath`, the child the recursion came from. A(p) was
-        * matched against `alive(parent(p), p)` as it stood when p joined,
-        * and only nodes outside p's subtree can have shrunk that set since:
-        * until one of them joins, the top-down filter removes nothing and
-        * is skipped (the paper's incremental selection vector, §4.3).
-        */
-      def alive(p: Int, onPath: Int): DataFrame = {
-        val stale = joined.drop(joined.indexOf(p) + 1).exists(j => !t.pathFromRoot(j).contains(p))
-        val top =
-          if (!stale) A(p)
-          else keep(A(p), q.childCol(p), alive(t.parent(p), p), q.parentCol(p))
-        reduce(top, t.children(p).filter(c => eval(c) && c != onPath), survivors)
-      }
-
-      // localCheckpoint (not persist): the alive/survival computation
-      // re-derives plans over every prior A(i), so logical-plan size — and
-      // with it Catalyst analysis time — grows super-linearly with depth
-      // unless the plan is cut at each step. Lazy: the first job that
-      // reads A(i) computes and caches it, with no job of its own.
-      A(0) = bitvectors(0, rels(0)).localCheckpoint(eager = false)
-      for (l <- order) {
-        val entries = alive(t.parent(l), -1)
-        if (counting) ht += l -> rows(entries)
-        val matched = keep(rels(l), q.childCol(l), entries, q.parentCol(l))
-        joined :+= l
-        A(l) = bitvectors(l, matched).localCheckpoint(eager = false)
-      }
-
-      if (flatOutput) {
-        // Expansion: fold the factorized vectors back into flat tuples.
-        output((1 until t.n).foldLeft(A(0)) { (cur, l) =>
-          hashJoin(cur, A(l), q.parentCol(l), q.childCol(l), "inner")
-        })
-      } else {
-        // Factorized output: every node's alive entries, counted in one
-        // action, so the nodes' plans share their broadcasts.
-        (None, rows((0 until t.n).map(alive(_, -1).select()).reduce(_ union _)))
+      val parts = rdds.head.sparkContext.union(rdds).collect()
+      for (i <- 1 until n) {
+        val mine = parts.collect { case (`i`, c) => c }
+        cols(i) = Array.tabulate(ordinals(i).length)(j => mine.flatMap(_(j)))
       }
     }
+    cols
+  }
 
-    /** The flat result, `joined` projected on the output columns, and its
-      * row count.
-      */
-    def output(joined: DataFrame): (Option[DataFrame], Long) = {
-      val f = joined.select(q.outputCols.map(col): _*)
-      (Some(f), rows(f))
+  /** The columns at `ords` of `rows`, relation `rel`'s, as `Long` arrays. */
+  private def columns(rows: Iterator[InternalRow], ords: Array[Int], rel: Int): Array[Array[Long]] = {
+    val b = Array.fill(ords.length)(new mutable.ArrayBuilder.ofLong)
+    for (row <- rows; j <- ords.indices) {
+      require(!row.isNullAt(ords(j)), s"the join and key columns of relation $rel hold no nulls")
+      b(j) += row.getLong(ords(j))
     }
+    b.map(_.result())
   }
 }

@@ -3,10 +3,6 @@ package repro
 import java.util.concurrent.{ConcurrentHashMap, ConcurrentLinkedQueue}
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkListenerJobStart}
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.catalyst.plans.logical.LogicalPlan
-import org.apache.spark.sql.execution.{QueryExecution, SparkPlan}
-import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
-import org.apache.spark.sql.util.QueryExecutionListener
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
 import scala.jdk.CollectionConverters._
@@ -27,46 +23,30 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   def bag(df: DataFrame): Map[Seq[Any], Int] =
     df.collect().toSeq.map(_.toSeq).groupMapReduce(identity)(_ => 1)(_ + _)
 
-  /** Runs `body` and returns its value with the plans of every Spark SQL
-    * action it ran (count, collect, localCheckpoint, …), in order.
-    */
-  def recordPlans[A](body: => A): (A, Seq[SparkSpec.Recorded]) = {
-    val plans = new ConcurrentLinkedQueue[SparkSpec.Recorded]
-    val listener = new QueryExecutionListener {
-      def onSuccess(funcName: String, qe: QueryExecution, durationNs: Long): Unit =
-        plans.add(SparkSpec.Recorded(qe.optimizedPlan, SparkSpec.Aqe.stripAQEPlan(qe.executedPlan)))
-      def onFailure(funcName: String, qe: QueryExecution, e: Exception): Unit = ()
-    }
-    spark.listenerManager.register(listener)
-    try {
-      val a = body
-      drainListenerBus()
-      (a, plans.asScala.toSeq)
-    } finally spark.listenerManager.unregister(listener)
-  }
-
   /** Runs `body` and returns its value with the Spark jobs it started, in
-    * order, each by its call site (the name of its last stage).
+    * order.
     */
-  def recordJobs[A](body: => A): (A, Seq[String]) = {
-    val jobs = new ConcurrentLinkedQueue[(Int, String)]
+  def recordJobs[A](body: => A): (A, Seq[SparkSpec.Job]) = {
+    val jobs = new ConcurrentLinkedQueue[(Int, SparkSpec.Job)]
     val listener = new SparkListener {
       override def onJobStart(e: SparkListenerJobStart): Unit =
-        jobs.add((e.jobId, if (e.stageInfos.isEmpty) "" else e.stageInfos.maxBy(_.stageId).name))
+        jobs.add((e.jobId, SparkSpec.Job(
+          if (e.stageInfos.isEmpty) "" else e.stageInfos.maxBy(_.stageId).name,
+          e.stageInfos.length - 1)))
     }
     spark.sparkContext.addSparkListener(listener)
     try {
       val a      = body
       val marker = drainListenerBus()
-      (a, jobs.asScala.toSeq.collect { case (id, site) if id != marker => site })
+      (a, jobs.asScala.toSeq.collect { case (id, job) if id != marker => job })
     } finally spark.sparkContext.removeSparkListener(listener)
   }
 
   /** Blocks until the listener bus has delivered every event posted so far,
     * and returns the id of the marker job it ran to tell.
-    * Query-execution events reach their listeners asynchronously, through
-    * the bus's shared queue; a marker job's end event, delivered on that
-    * queue after them, shows they have all been handled.
+    * Job events reach their listeners asynchronously, through the bus's
+    * shared queue; a marker job's end event, delivered on that queue after
+    * them, shows they have all been handled.
     */
   private def drainListenerBus(): Int = {
     val sc    = spark.sparkContext
@@ -89,15 +69,10 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
 }
 
 object SparkSpec {
-  private object Aqe extends AdaptiveSparkPlanHelper
-
-  /** One action's plans: the optimized logical plan and the executed
-    * physical plan, the final adaptive plan once the action has run.
+  /** A Spark job: its call site (the name of its last stage) and how many
+    * of its stages write a shuffle: all but its result stage.
     */
-  final case class Recorded(optimized: LogicalPlan, executed: SparkPlan) {
-    /** Every operator of `executed`, inside query stages and subqueries too. */
-    def operators: Seq[SparkPlan] = Aqe.collectWithSubqueries(executed) { case p => p }
-  }
+  final case class Job(site: String, shuffleStages: Int)
 
   lazy val shared: SparkSession = {
     val s = Spark.session("repro")

@@ -98,6 +98,18 @@ class ExecutorCraftedSpec extends SparkSpec {
     }
   }
 
+  test("every approach's counts and flat bag equal the exact reference, full or emptied") {
+    for (e <- Seq(q, emptied(2), emptied(3))) {
+      val ref = new ExactReference(e)
+      for (a <- Approach.all; order <- Seq(Seq(1, 2, 3), Seq(1, 3, 2), Seq(3, 1, 2)); flat <- Seq(true, false)
+           if flat || a.usesCom) withClue(s"${a.name} $order flat=$flat: ") {
+        val r = Engine.run(e, order, a, counting = true, flatOutput = flat)
+        assert(r.log == ref.log(order, a, flat))
+        if (flat) assert(bag(r.flat.get) == ref.bag)
+      }
+    }
+  }
+
   test("flat result matches the DuckDB oracle") {
     val r = Engine.run(q, Seq(1, 2, 3), Approach.Std)
     repro.Oracle.assertEquivalent(r.flat.get, q.flatSql, q.oracleTables: _*)
@@ -110,45 +122,8 @@ class ExecutorCraftedSpec extends SparkSpec {
     assert(r.log.outRows == 4L)
   }
 
-  test("key-set filters run no grouping aggregate, counted or not") {
-    import org.apache.spark.sql.catalyst.plans.LeftSemi
-    import org.apache.spark.sql.catalyst.plans.logical.{Aggregate, Join}
-    for (a <- Approach.all; counting <- Seq(true, false)) {
-      val (r, plans) = recordPlans(Engine.run(q, Seq(1, 2, 3), a, counting))
-      assert(r.log.outRows == 1L, s"${a.name} counting=$counting")
-      // Every approach but STD filters by key sets; the recorder must see them.
-      val semis = plans.flatMap(_.optimized.collect { case j: Join if j.joinType == LeftSemi => j })
-      assert(a == Approach.Std || semis.nonEmpty, s"${a.name} counting=$counting: no semi-join recorded")
-      val grouped = plans.flatMap(_.optimized.collectWithSubqueries {
-        case g: Aggregate if g.groupingExpressions.nonEmpty => g
-      })
-      assert(grouped.isEmpty, s"${a.name} counting=$counting: ${grouped.mkString("\n")}")
-    }
-  }
-
-  test("every action is one broadcast-hash-join pipeline: no shuffle, no sort") {
-    import org.apache.spark.sql.catalyst.optimizer.BuildRight
-    import org.apache.spark.sql.execution.SortExec
-    import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
-    import org.apache.spark.sql.execution.joins.{BaseJoinExec, BroadcastHashJoinExec}
-    val runs = Approach.all.map((_, true)) ++ Approach.all.filter(_.usesCom).map((_, false))
-    for ((a, flat) <- runs; counting <- Seq(true, false)) {
-      val what = s"${a.name} flat=$flat counting=$counting"
-      val (_, plans) = recordPlans(Engine.run(q, Seq(1, 2, 3), a, counting, flat))
-      val ops = plans.flatMap(_.operators)
-      assert(ops.exists(_.isInstanceOf[BroadcastHashJoinExec]), s"$what: no hash join recorded")
-      for (op <- ops) op match {
-        case j: BroadcastHashJoinExec => assert(j.buildSide == BuildRight, s"$what: $j")
-        case _: BaseJoinExec | _: ShuffleExchangeExec | _: SortExec => fail(s"$what: $op")
-        case _ =>
-      }
-    }
-  }
-
-  /** `q` with relation `i` emptied behind an RDD scan, which the optimizer
-    * cannot see through (a local relation it would fold away): only
-    * adaptive execution learns, from the broadcast it built, that a build
-    * side is empty.
+  /** `q` with relation `i` emptied: a scan of an RDD with no partitions,
+    * so no task reads it.
     */
   private def emptied(i: Int): TreeQuery =
     q.copy(rels = q.rels.updated(i,
@@ -200,51 +175,38 @@ class ExecutorCraftedSpec extends SparkSpec {
       intercept[IllegalArgumentException](Engine.run(q, Seq(1, 2, 3), a, flatOutput = false))
   }
 
-  test("Spark SQL actions per call: one per count and per checkpoint") {
-    // Order [1,2,3]; the driver's children are 1 and 3, node 1's child is 2.
-    // Counted only: 3 hash-join steps; BVP's 3 bitvectors (1 and 3 on the
-    // driver, 2 after joining 1); SJ's 3 phase-1 semi-joins (node 1 by 2,
-    // the driver by 1 and 3). Always: SJ's 2 phase-1 checkpoints (nodes 1
-    // and 0); COM's 4 checkpoints (A(0) and one per step); the output, one
-    // flat count or one count of the union of the 4 nodes' alive entries
-    // (factorized).
-    import Approach._
-    val expected = Seq( // (approach, flat output, counted, uncounted)
-      (Std, true, 4, 1), (BvpStd, true, 7, 1), (SjStd, true, 9, 3),
-      (Com, true, 8, 5), (BvpCom, true, 11, 5), (SjCom, true, 13, 7),
-      (Com, false, 8, 5), (BvpCom, false, 11, 5), (SjCom, false, 13, 7))
-    for ((a, flat, counted, uncounted) <- expected; counting <- Seq(true, false)) {
-      val (_, plans) = recordPlans(Engine.run(q, Seq(1, 2, 3), a, counting, flat))
-      assert(plans.length == (if (counting) counted else uncounted),
-        s"${a.name} flat=$flat counting=$counting")
+  /** Every approach with flat output, and the COM family's factorized. */
+  private val outputs = Approach.all.map((_, true)) ++ Approach.all.filter(_.usesCom).map((_, false))
+
+  test("two Spark jobs per call") {
+    // Job 1 collects the columns of R1, R2 and R3, one job over their
+    // union; job 2 runs the approach over the driver's partitions. Nothing
+    // else starts a job, counted or not: SJ's phase 1 runs on the collected
+    // columns and, for the driver, inside job 2; bitvectors and COM's
+    // survival and alive filters are probes into key sets inside job 2;
+    // the counts and the output rows return with job 2's results; and the
+    // flat result is a lazy DataFrame.
+    for ((a, flat) <- outputs; counting <- Seq(true, false)) {
+      val (r, jobs) = recordJobs(Engine.run(q, Seq(1, 2, 3), a, counting, flat))
+      assert(r.log.outRows == (if (flat) 1L else 4L), s"${a.name} flat=$flat counting=$counting")
+      assert(jobs.length == 2, s"${a.name} flat=$flat counting=$counting: ${jobs.mkString(", ")}")
     }
   }
 
-  test("Spark jobs per uncounted call: one per broadcast and one per count") {
-    // Order [1,2,3]; the driver's children are 1 and 3, node 1's child is 2.
-    // Every build side is a broadcast, one job each; a checkpoint runs no
-    // job of its own (it is lazy: the first job that reads it fills it),
-    // and the output is counted in one job.
-    // STD: 3 hash-join steps + 1 count = 4. BVP adds 3 bitvectors (1 and 3
-    // on the driver, 2 after joining 1): 7. SJ's phase 1 adds 3 semi-joins
-    // (node 1 by 2, the driver by 1 and 3) to either pipeline.
-    // COM: step 1 broadcasts A(0); step 2 broadcasts A(1) alone, since no
-    // node outside 1's subtree has joined since 1 (no top-down filter);
-    // step 3 broadcasts A(2), A(1) ⋉ A(2) and the alive driver entries; the
-    // expansion broadcasts A(1..3) and counts: 1 + 1 + 3 + 3 + 1 = 9.
-    // Factorized, the union of the four alive sets shares its broadcasts:
-    // alive(0) needs A(2), A(1) ⋉ A(2) and A(3); alive(1) adds A(0) ⋉ A(3)
-    // (1 is stale: 3 joined after it); alive(2) adds A(1) ⋉ alive(0, 1)
-    // (2 is stale too); alive(3) is A(3). 5 steps' jobs + 5 + 1 = 11.
-    import Approach._
-    val expected = Seq( // (approach, flat output, jobs)
-      (Std, true, 4), (BvpStd, true, 7), (SjStd, true, 7),
-      (Com, true, 9), (BvpCom, true, 12), (SjCom, true, 12),
-      (Com, false, 11), (BvpCom, false, 14), (SjCom, false, 14))
-    for ((a, flat, jobs) <- expected) {
-      val (r, started) = recordJobs(Engine.run(q, Seq(1, 2, 3), a, counting = false, flat))
-      assert(r.log.outRows == (if (flat) 1L else 4L), s"${a.name} flat=$flat")
-      assert(started.length == jobs, s"${a.name} flat=$flat: ${started.mkString(", ")}")
+  test("a call runs no shuffle stage") {
+    for ((a, flat) <- outputs; counting <- Seq(true, false)) {
+      val (_, jobs) = recordJobs(Engine.run(q, Seq(1, 2, 3), a, counting, flat))
+      assert(jobs.forall(_.shuffleStages == 0), s"${a.name} flat=$flat counting=$counting: ${jobs.mkString(", ")}")
+    }
+  }
+
+  test("a join or key column that is not bigint is refused by name") {
+    import spark.implicits._
+    for ((rel, column) <- Seq(Seq((31, 1L), (32, 3L)).toDF("k3", "fk3") -> "k3",
+                              Seq((31L, 1), (32L, 3)).toDF("k3", "fk3") -> "fk3")) {
+      val e = intercept[IllegalArgumentException](
+        Engine.run(q.copy(rels = q.rels.updated(3, rel)), Seq(1, 2, 3), Approach.Std))
+      assert(e.getMessage.contains(s"column $column of relation 3 is int"), e.getMessage)
     }
   }
 }

@@ -68,14 +68,14 @@ class ExecutorGeneratedSpec extends SparkSpec {
         driverSize = 300),
       JoinTree.random(7, (0.3, 0.8), (1.0, 2.5), rng, driverSize = 300))
     for ((tree, seed) <- trees.zip(Seq(28L, 29L, 30L))) {
-      val q = TreeData.generate(spark, tree, seed)
+      val q   = TreeData.generate(spark, tree, seed)
+      val ref = new ExactReference(q)
       for (_ <- 0 until 2) {
-        val order    = Optimizer.randomOrder(tree, rng)
-        val expected = bag(Engine.run(q, order, Approach.Std, counting = false).flat.get)
+        val order = Optimizer.randomOrder(tree, rng)
         for (a <- Seq(Approach.Com, Approach.BvpCom, Approach.SjCom)) withClue(s"${a.name} $order: ") {
           val r = Engine.run(q, order, a)
-          assert(r.log.htProbes == AliveReference.htProbes(q, order, a))
-          assert(bag(r.flat.get) == expected)
+          assert(r.log == ref.log(order, a))
+          assert(bag(r.flat.get) == ref.bag)
         }
       }
     }
