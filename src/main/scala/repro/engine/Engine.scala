@@ -1,6 +1,5 @@
 package repro.engine
 
-import java.util.BitSet
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.types.{LongType, StructField, StructType}
@@ -35,12 +34,14 @@ final case class ExecResult(flat: Option[DataFrame], log: ProbeLog)
 object Engine {
   /** Runs `approach` over `q` in `order` (for SJ, the phase-2 order).
     *
-    * Probes into relation l's hash table = rows entering its join: the flat
-    * intermediate for STD, the alive entries at l's parent level for COM.
-    * Bitvector and semi-join probes = rows entering each key-set filter. All
-    * are counted only when `counting`. `flatOutput = false`
-    * returns the factorized result (the alive entries of every node, COM
-    * family only). The flat result is a lazy DataFrame over the same
+    * Every count is a sum over the driver's partitions of what the pipeline
+    * did. Probes into relation l's hash table = lookups into it: one per
+    * flat tuple entering its join for STD, one per alive entry of `parent(l)`
+    * for COM. Bitvector and semi-join probes = inputs of each key-set filter.
+    * The output rows are the flat result's, or, with `flatOutput = false`
+    * (COM family only), the alive entries of every relation: the factorized
+    * result. The counts are always taken; `counting` decides whether the
+    * probes are reported. The flat result is a lazy DataFrame over the same
     * pipeline, with the columns `q.outputCols`.
     */
   def run(q: TreeQuery, order: Seq[Int], approach: Approach,
@@ -86,40 +87,17 @@ object Engine {
       else if (approach.bitvectors) t.children(0).toArray
       else Array.emptyIntArray
     val plan = new Plan(t.parent.clone(), t.children.map(_.toArray), order.toArray, approach,
-      counting, flatOutput, cols, ordinals(0), keyAt, linkAt, index, drivers)
+      flatOutput, cols, ordinals(0), keyAt, linkAt, index, drivers)
 
     val driver = q.rels(0).queryExecution.toRdd
     val bc     = driver.sparkContext.broadcast(plan)
     val parts  = driver.mapPartitions(rows => Iterator.single(new Pipeline(bc.value, null).run(rows))).collect()
 
-    val steps = order.indices
-    def union(rows: Counters => BitSet): BitSet = {
-      val u = new BitSet
-      parts.foreach(p => u.or(rows(p)))
-      u
-    }
-    val out = parts.map(_.out).sum +
-      (if (flatOutput) 0L else (1 until t.n).map(i => union(_.aliveRows(i)).cardinality.toLong).sum)
+    val out = parts.map(_.out).sum
     val log =
       if (!counting) ProbeLog(Map.empty, 0L, 0L, out)
-      else {
-        // A COM-family count of rows other than the driver's is the size of
-        // the union of the partitions' row sets (DESIGN.md §4).
-        val ht = steps.map { s =>
-          order(s) ->
-            (if (approach.usesCom && t.parent(order(s)) != 0) union(_.parentRows(s)).cardinality.toLong
-             else parts.map(_.ht(s)).sum)
-        }.toMap
-        val comBv =
-          if (!(approach.usesCom && approach.bitvectors)) 0L
-          else steps.map { s =>
-            val l       = order(s)
-            val matched = union(_.matchedRows(s))
-            Iterator.iterate(matched.nextSetBit(0))(r => matched.nextSetBit(r + 1)).takeWhile(_ >= 0)
-              .map(r => Plan.reached(plan.passed(plan.children(l), cols(l), r), t.children(l).length).toLong).sum
-          }.sum
-        ProbeLog(ht, parts.map(_.bv).sum + comBv, semi + parts.map(_.semi).sum, out)
-      }
+      else ProbeLog(order.indices.map(s => order(s) -> parts.map(_.ht(s)).sum).toMap,
+        parts.map(_.bv).sum, semi + parts.map(_.semi).sum, out)
 
     val flat = if (!flatOutput) None else {
       val schema = StructType(q.outputCols.map(StructField(_, LongType, nullable = false)))

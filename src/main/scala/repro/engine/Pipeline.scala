@@ -1,6 +1,6 @@
 package repro.engine
 
-import java.util.{Arrays, BitSet}
+import java.util.Arrays
 import org.apache.spark.sql.catalyst.InternalRow
 import repro.core.Approach
 
@@ -25,7 +25,6 @@ private[engine] final class Plan(
     val children: Array[Array[Int]],
     val order: Array[Int],
     val approach: Approach,
-    val counting: Boolean,
     val flatOutput: Boolean,
     val cols: Array[Array[Array[Long]]],
     val driverCols: Array[Int],
@@ -35,40 +34,16 @@ private[engine] final class Plan(
     val drivers: Array[Int],
 ) extends Serializable {
   def n: Int = parent.length
-
-  /** How many of the key sets of `filters`, children of one relation, its
-    * row r passes, each tried while the ones before pass; `rel` holds the
-    * relation's columns. The row is kept when it passes all of them.
-    */
-  def passed(filters: Array[Int], rel: Array[Array[Long]], r: Int): Int = {
-    var k = 0
-    while (k < filters.length && index(filters(k)).contains(rel(linkAt(filters(k)))(r))) k += 1
-    k
-  }
 }
 
-private[engine] object Plan {
-  /** Filters a row reaches when it passes `passed` of `filters`: each one
-    * it passes, and the one that rejects it.
-    */
-  def reached(passed: Int, filters: Int): Int = if (passed == filters) passed else passed + 1
-}
-
-/** One partition's counts. Steps are positions in the order. A COM-family
-  * count of rows of a relation other than the driver is a set of its row
-  * numbers, since one row can be an entry in several partitions: the rows
-  * of `parent(order(s))` alive at step s (`parentRows`), BVP's rows of
-  * `order(s)` matched at step s (`matchedRows`), and, for factorized
-  * output, each relation's rows alive at the end (`aliveRows`).
+/** One partition's counts, each a sum of what its pipeline did. Steps are
+  * positions in the order.
   */
-private[engine] final class Counters(steps: Int, n: Int) extends Serializable {
-  val ht          = new Array[Long](steps)
-  var bv          = 0L
-  var semi        = 0L
-  var out         = 0L
-  val parentRows  = Array.fill(steps)(new BitSet)
-  val matchedRows = Array.fill(steps)(new BitSet)
-  val aliveRows   = Array.fill(n)(new BitSet)
+private[engine] final class Counters(steps: Int) extends Serializable {
+  val ht   = new Array[Long](steps)
+  var bv   = 0L
+  var semi = 0L
+  var out  = 0L
 }
 
 /** Runs a plan over one partition of the driver, in vectors of
@@ -88,7 +63,7 @@ private[engine] final class Pipeline(plan: Plan, emit: Array[Long] => Unit) {
   import plan._
 
   private val m        = order.length
-  private val counters = new Counters(m, n)
+  private val counters = new Counters(m)
   private val V        = VectorSize
 
   /** Every relation's columns, the driver's being the current vector's. */
@@ -130,13 +105,23 @@ private[engine] final class Pipeline(plan: Plan, emit: Array[Long] => Unit) {
     var kept = 0
     var r    = 0
     while (r < size) {
-      val k       = plan.passed(drivers, d, r)
-      val reached = Plan.reached(k, drivers.length)
-      if (approach.semiJoins) counters.semi += reached else counters.bv += reached
-      if (k == drivers.length) { sel(kept) = r; kept += 1 }
+      if (passes(drivers, d, r)) { sel(kept) = r; kept += 1 }
       r += 1
     }
     if (approach.usesCom) com(kept) else std(kept)
+  }
+
+  /** Whether row r of `rel` passes the key sets of `filters`, children of
+    * its relation, each tried while the ones before pass. Each one tried is
+    * a probe: a semi-join probe under SJ, a bitvector probe otherwise.
+    */
+  private def passes(filters: Array[Int], rel: Array[Array[Long]], r: Int): Boolean = {
+    var k = 0
+    while (k < filters.length && index(filters(k)).contains(rel(linkAt(filters(k)))(r))) k += 1
+    val pass  = k == filters.length
+    val tried = if (pass) k else k + 1
+    if (approach.semiJoins) counters.semi += tried else counters.bv += tried
+    pass
   }
 
   // ------------------------------------------------------------------ STD
@@ -175,8 +160,7 @@ private[engine] final class Pipeline(plan: Plan, emit: Array[Long] => Unit) {
       val from  = in(posOf(parent(l)))
       val links = nodeCols(parent(l))(linkAt(l))
       val idx   = index(l)
-      val kids  = children(l)
-      val bvps  = if (approach.bitvectors) kids.length else -1
+      val bvs   = if (approach.bitvectors) children(l) else null
       counters.ht(k) += size
       var filled = 0
       var t      = 0
@@ -185,14 +169,8 @@ private[engine] final class Pipeline(plan: Plan, emit: Array[Long] => Unit) {
         if (g >= 0) {
           var j = idx.from(g)
           while (j < idx.until(g)) {
-            val r    = idx.rows(j)
-            var keep = true
-            if (bvps >= 0) {
-              val p = plan.passed(kids, nodeCols(l), r)
-              counters.bv += Plan.reached(p, bvps)
-              keep = p == bvps
-            }
-            if (keep) {
+            val r = idx.rows(j)
+            if (bvs == null || passes(bvs, nodeCols(l), r)) {
               var c = 0
               while (c <= k) { out(c)(filled) = in(c)(t); c += 1 }
               out(k + 1)(filled) = r
@@ -252,7 +230,7 @@ private[engine] final class Pipeline(plan: Plan, emit: Array[Long] => Unit) {
         val a = alive(i)
         for (e <- 0 until cnt(i)) {
           a(e) = esurv(i)(e) && (i == 0 || alive(parent(i))(epar(i)(e)))
-          if (a(e)) { if (i == 0) counters.out += 1 else counters.aliveRows(i).set(erow(i)(e)) }
+          if (a(e)) counters.out += 1
         }
       }
     }
@@ -286,7 +264,7 @@ private[engine] final class Pipeline(plan: Plan, emit: Array[Long] => Unit) {
     val p   = parent(l)
     val a   = aliveAt(p)
     val idx = index(l)
-    val bvps = if (approach.bitvectors) children(l).length else -1
+    val bvs = if (approach.bitvectors) children(l) else null
     val links = nodeCols(p)(linkAt(l))
     val rows  = erow(p)
     kids(l) = ensure(kids(l), cnt(p) + 1)
@@ -299,17 +277,13 @@ private[engine] final class Pipeline(plan: Plan, emit: Array[Long] => Unit) {
       from(e) = cnt(l)
       left(e) = 0
       if (a == null || a(e)) {
-        if (counting) { if (p == 0) counters.ht(s) += 1 else counters.parentRows(s).set(rows(e)) }
+        counters.ht(s) += 1
         val g = idx.find(links(rows(e)))
         if (g >= 0) {
           var j = idx.from(g)
           while (j < idx.until(g)) {
             val r = idx.rows(j)
-            if (bvps < 0) append(l, r, e)
-            else {
-              if (counting) counters.matchedRows(s).set(r)
-              if (plan.passed(children(l), nodeCols(l), r) == bvps) append(l, r, e)
-            }
+            if (bvs == null || passes(bvs, nodeCols(l), r)) append(l, r, e)
             j += 1
           }
         }

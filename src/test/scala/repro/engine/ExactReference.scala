@@ -9,17 +9,19 @@ import repro.data.TreeQuery
   *
   *  - STD hash probes into `l` are the tuples of the partial join over the
   *    order's prefix before `l`, filtered by BVP's bitvectors.
-  *  - COM-family hash probes into `l` are the alive entries at `parent(l)`:
-  *    the rows of that node that take part in the join of the evaluated
-  *    subtree (Yannakakis' full reduction of it).
+  *  - COM-family hash probes into `l` are the alive entries of `parent(l)`:
+  *    the distinct projections onto the path root → `parent(l)` of the
+  *    partial join over the order's prefix.
   *  - Bitvector probes are the inputs of each key-set filter: driver rows,
-  *    then stream tuples (BVP+STD) or distinct rows of `A(l)` (BVP+COM).
-  *    Semi-join probes are the inputs of SJ's phase-1 filters.
+  *    then stream tuples (BVP+STD) or each alive entry's matches in `l`
+  *    (BVP+COM). Semi-join probes are the inputs of SJ's phase-1 filters.
   *  - The output rows are the flat result's, or (factorized) every node's
-  *    alive entries once all have joined.
+  *    alive entries once all have joined: the distinct projections of the
+  *    full join onto each path root → node.
   *
   * The relations are those the approach sees: raw, or reduced bottom-up by
-  * SJ's phase 1. BVP filters by the raw relations' key sets.
+  * SJ's phase 1. BVP filters by the raw relations' key sets. A tuple holds
+  * a row number per joined node, so equal rows are distinct entries.
   */
 final class ExactReference(q: TreeQuery) {
   import ExactReference._
@@ -29,8 +31,8 @@ final class ExactReference(q: TreeQuery) {
 
   /** The flat result as a bag of `q.outputCols` values. */
   lazy val bag: Map[Seq[Any], Int] =
-    (1 until t.n).foldLeft(start(raw(0)))((tuples, l) => extend(tuples, raw(l), l))
-      .map(tup => tup.indices.map(i => tup(i).getAs[Any](q.keyCol(i))): Seq[Any])
+    (1 until t.n).foldLeft(start(raw(0)))((tuples, l) => extend(raw, tuples, l))
+      .map(tup => tup.indices.map(i => raw(i)(tup(i)).getAs[Any](q.keyCol(i))): Seq[Any])
       .groupMapReduce(identity)(_ => 1)(_ + _)
 
   /** The exact `ProbeLog` of `Engine.run(q, order, approach, counting =
@@ -54,73 +56,81 @@ final class ExactReference(q: TreeQuery) {
     def bitvectors[A](xs: Seq[A], i: Int)(row: (A, Int) => Row): Seq[A] =
       if (approach.bitvectors) filter(xs, t.children(i), raw, bv += _)(row) else xs
 
-    val seen = raw.toArray
-    if (approach.semiJoins) {
-      val p1 = SemiJoinModel.phase1Order(t)
-      for (i <- (t.n - 1) to 0 by -1)
-        seen(i) = filter(raw(i), p1(i), seen(_), semi += _)((r, _) => r).toIndexedSeq
-    }
-    // COM's A(i) hold rows of these: with BVP, filtered by the key sets of
-    // i's children.
-    val entries = seen.indices.map { i =>
-      if (!approach.bitvectors) seen(i)
-      else filter(seen(i), t.children(i), raw, _ => ())((r, _) => r).toIndexedSeq
-    }
+    val seen: IndexedSeq[Rel] =
+      if (!approach.semiJoins) raw
+      else {
+        val p1      = SemiJoinModel.phase1Order(t)
+        val reduced = raw.toArray
+        for (i <- (t.n - 1) to 0 by -1)
+          reduced(i) = filter(raw(i), p1(i), reduced(_), semi += _)((r, _) => r).toIndexedSeq
+        reduced.toIndexedSeq
+      }
 
     val ht = Map.newBuilder[Int, Long]
+    var tuples: Seq[Tuple] = Nil
     if (!approach.usesCom) {
-      var tuples = bitvectors(start(seen(0)), 0)((tup, c) => tup(t.parent(c)))
+      def parentRow(tup: Tuple, c: Int): Row = seen(t.parent(c))(tup(t.parent(c)))
+      tuples = bitvectors(start(seen(0)), 0)(parentRow)
       for (l <- order) {
         ht += l -> tuples.size.toLong
-        tuples = bitvectors(extend(tuples, seen(l), l), l)((tup, c) => tup(t.parent(c)))
+        tuples = bitvectors(extend(seen, tuples, l), l)(parentRow)
       }
     } else {
+      // COM's A(i) hold rows of these: with BVP, filtered by the key sets of
+      // i's children.
+      val entries = seen.indices.map { i =>
+        if (!approach.bitvectors) seen(i)
+        else filter(seen(i), t.children(i), raw, _ => ())((r, _) => r).toIndexedSeq
+      }
       bitvectors(seen(0), 0)((r, _) => r)
-      for ((l, s) <- order.zipWithIndex) {
-        val parents = alive(entries, order.take(s).toSet + 0, t.parent(l))
+      tuples = start(entries(0))
+      for (l <- order) {
+        val p       = t.parent(l)
+        val parents = paths(tuples, p)
         ht += l -> parents.size.toLong
-        val ks = keys(parents, q.parentCol(l))
-        bitvectors(seen(l).filter(r => ks(r.getAs[Any](q.childCol(l)))), l)((r, _) => r)
+        // Each alive entry's matches in l, before BVP's filters.
+        val byKey   = groups(seen(l), l)
+        val matches = parents.flatMap(pt => byKey(entries(p)(pt.last).getAs[Any](q.parentCol(l))).map(seen(l)))
+        bitvectors(matches, l)((r, _) => r)
+        tuples = extend(entries, tuples, l)
       }
     }
     val out =
       if (flatOutput) bag.values.sum.toLong
-      else (0 until t.n).map(p => alive(entries, (0 until t.n).toSet, p).size.toLong).sum
+      else (0 until t.n).map(p => paths(tuples, p).size.toLong).sum
     ProbeLog(ht.result(), bv, semi, out)
+  }
+
+  /** The distinct projections of `tuples` onto the path root → `p`. */
+  private def paths(tuples: Seq[Tuple], p: Int): Seq[Seq[Int]] = {
+    val path = t.pathFromRoot(p)
+    tuples.map(tup => path.map(tup)).distinct
   }
 
   /** The driver's rows as tuples. */
   private def start(driver: Rel): Seq[Tuple] =
-    driver.map(r => IndexedSeq.tabulate[Row](t.n)(i => if (i == 0) r else null))
+    driver.indices.map(r => IndexedSeq.tabulate(t.n)(i => if (i == 0) r else -1))
 
-  /** `tuples` joined with `rel`, node `l`'s relation, on `l`'s join columns. */
-  private def extend(tuples: Seq[Tuple], rel: Rel, l: Int): Seq[Tuple] = {
-    val byKey = rel.groupBy(_.getAs[Any](q.childCol(l)))
-    tuples.flatMap { tup =>
-      byKey.getOrElse(tup(t.parent(l)).getAs[Any](q.parentCol(l)), Nil).map(tup.updated(l, _))
-    }
+  /** The row numbers of `rel`, node `l`'s relation, by their join column. */
+  private def groups(rel: Rel, l: Int): Any => Seq[Int] = {
+    val byKey = rel.indices.groupBy(r => rel(r).getAs[Any](q.childCol(l)))
+    k => byKey.getOrElse(k, Nil)
   }
 
-  /** Alive entries at `p` once the nodes `eval` have joined, over the rows
-    * `a`: bottom-up reduction of the evaluated subtree, then top-down along
-    * root → p.
+  /** `tuples` over the relations `rels` joined with node `l`'s, on `l`'s
+    * join columns.
     */
-  private def alive(a: IndexedSeq[Rel], eval: Set[Int], p: Int): Rel = {
-    def keep(rows: Rel, onCol: String, by: Rel, byCol: String): Rel = {
-      val ks = keys(by, byCol)
-      rows.filter(r => ks(r.getAs[Any](onCol)))
-    }
-    val up = new Array[Rel](t.n)
-    for (i <- (t.n - 1) to 0 by -1 if eval(i))
-      up(i) = t.children(i).filter(eval).foldLeft(a(i))((d, c) => keep(d, q.parentCol(c), up(c), q.childCol(c)))
-    t.pathFromRoot(p).tail.foldLeft(up(0))((down, c) => keep(up(c), q.childCol(c), down, q.parentCol(c)))
+  private def extend(rels: IndexedSeq[Rel], tuples: Seq[Tuple], l: Int): Seq[Tuple] = {
+    val p     = t.parent(l)
+    val byKey = groups(rels(l), l)
+    tuples.flatMap(tup => byKey(rels(p)(tup(p)).getAs[Any](q.parentCol(l))).map(tup.updated(l, _)))
   }
 }
 
 object ExactReference {
   private type Rel   = IndexedSeq[Row]
-  /** One row per joined node, `null` elsewhere. */
-  private type Tuple = IndexedSeq[Row]
+  /** One row number per joined node, −1 elsewhere. */
+  private type Tuple = IndexedSeq[Int]
 
   private def keys(rows: Rel, col: String): Set[Any] = rows.map(_.getAs[Any](col)).toSet
 }

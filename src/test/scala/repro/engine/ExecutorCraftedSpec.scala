@@ -5,10 +5,11 @@ import repro.SparkSpec
 import repro.core.{Approach, JoinTree}
 import repro.data.TreeQuery
 
-/** Executor semantics on a hand-crafted dataset where every probe count is
-  * known exactly (see the derivation in the comments).
+/** Executor semantics on hand-crafted datasets where every probe count is
+  * known exactly (see the derivation in the comments): `q`, below, and
+  * `mm`, a many-to-many query described where it is defined.
   *
-  * Shape: driver R0(k0 ∈ 1..4); R1 joins k0 (matches: k0=1 → {11,12},
+  * Shape of `q`: driver R0(k0 ∈ 1..4); R1 joins k0 (matches: k0=1 → {11,12},
   * k0=2 → {13}); R2 joins R1.k1 (matches: 11 → {21}, 13 → {22,23});
   * R3 joins k0 (matches: 1 → {31}, 3 → {32}).
   */
@@ -90,6 +91,60 @@ class ExecutorCraftedSpec extends SparkSpec {
     assert(r.log.outRows == 1L)
   }
 
+  /** A many-to-many query: driver M0(k0, a0) with a0 = 1, 1, 2, 3 for k0 =
+    * 1…4; M1(k1, fa1, b1) joins a0 (1 → {11, 12}, 2 → {13}, 3 → {14}), so
+    * rows 11 and 12 each match driver rows 1 and 2; M2(k2, fb2) joins b1
+    * (b1 of 11, 12, 13, 14 = 7, 8, 7, 9; 7 → {21, 22}, 8 → {23}); M3(k3,
+    * fa3) joins a0 (1 → {31}, 2 → {32}), so row 31 matches driver rows 1
+    * and 2. The result has 3 tuples per driver row 1 and 2 (11×{21, 22} and
+    * 12×{23}, each with 31) and 2 for driver row 3 (13×{21, 22}, with 32): 8.
+    */
+  private lazy val mm: TreeQuery = {
+    import spark.implicits._
+    val m0 = Seq((1L, 1L), (2L, 1L), (3L, 2L), (4L, 3L)).toDF("k0", "a0")
+    val m1 = Seq((11L, 1L, 7L), (12L, 1L, 8L), (13L, 2L, 7L), (14L, 3L, 9L)).toDF("k1", "fa1", "b1")
+    val m2 = Seq((21L, 7L), (22L, 7L), (23L, 8L)).toDF("k2", "fb2")
+    val m3 = Seq((31L, 1L), (32L, 2L)).toDF("k3", "fa3")
+    val tree = JoinTree(Seq((0, 1.0, 1.5), (1, 0.75, 5.0 / 3), (0, 0.75, 1.0)), driverSize = 4)
+    TreeQuery(tree, IndexedSeq(m0, m1, m2, m3),
+      parentCol = IndexedSeq("", "a0", "b1", "a0"),
+      childCol  = IndexedSeq("", "fa1", "fb2", "fa3"),
+      keyCol    = IndexedSeq("k0", "k1", "k2", "k3"))
+  }
+
+  test("many-to-many: COM looks up once per alive entry, and counts each lookup") {
+    // COM, order [1,2,3]: the 4 driver entries probe M1 and get 6 entries
+    // (1:{11,12}, 2:{11,12}, 3:{13}, 4:{14}); all 6 are alive and probe M2,
+    // 3 distinct rows among them. (4,14) finds nothing, so driver entry 4
+    // dies; the 3 alive driver entries probe M3. STD probes M2 with the same
+    // 6 tuples and M3 with all 8 of their matches.
+    assert(Engine.run(mm, Seq(1, 2, 3), Approach.Std).log == ProbeLog(Map(1 -> 4L, 2 -> 6L, 3 -> 8L), 0L, 0L, 8L))
+    assert(Engine.run(mm, Seq(1, 2, 3), Approach.Com).log == ProbeLog(Map(1 -> 4L, 2 -> 6L, 3 -> 3L), 0L, 0L, 8L))
+    // COM, order [1,3,2]: the 4 driver entries probe M1 and, all alive, M3;
+    // driver entry 4 finds nothing in M3 and dies, so the 5 M1 entries of
+    // driver entries 1–3 probe M2 (STD: the 5 tuples left after M3).
+    assert(Engine.run(mm, Seq(1, 3, 2), Approach.Com).log == ProbeLog(Map(1 -> 4L, 3 -> 4L, 2 -> 5L), 0L, 0L, 8L))
+    // BVP+COM, order [1,2,3]: the driver's 4 rows pass F1 (a0 ∈ {1, 2, 3})
+    // and all 4 try F3 ({1, 2}), which drops row 4: 8 bitvector probes.
+    // The 3 entries probe M1; their 5 matches try F2 (b1 ∈ {7, 8}) and all
+    // pass: 5 more. The 5 M1 entries probe M2 (no filters: M2 is a leaf),
+    // and the 3 driver entries probe M3.
+    assert(Engine.run(mm, Seq(1, 2, 3), Approach.BvpCom).log == ProbeLog(Map(1 -> 3L, 2 -> 5L, 3 -> 3L), 13L, 0L, 8L))
+    // SJ+COM: phase 1 reduces M1 by M2's key set (4 probes; 14 goes), then
+    // the driver by M1's and M3's (4 probes, row 4 goes, then 3 probes):
+    // 11 semi-join probes. Phase 2 probes as BVP+COM does.
+    assert(Engine.run(mm, Seq(1, 2, 3), Approach.SjCom).log == ProbeLog(Map(1 -> 3L, 2 -> 5L, 3 -> 3L), 0L, 11L, 8L))
+    // Factorized output, each relation's alive entries: driver {1, 2, 3},
+    // 5 of M1, the 8 of M2 under them (1:11:{21,22}, 1:12:{23}, the same
+    // under 2, 3:13:{21,22}) and 3 of M3 (1:31, 2:31, 3:32): 19, where the
+    // distinct rows number 3 + 3 + 3 + 2 = 11.
+    for (a <- Approach.all.filter(_.usesCom)) withClue(a.name) {
+      assert(Engine.run(mm, Seq(1, 2, 3), a, flatOutput = false).log.outRows == 19L)
+    }
+    repro.Oracle.assertEquivalent(Engine.run(mm, Seq(1, 2, 3), Approach.Com).flat.get,
+      mm.flatSql, mm.oracleTables: _*)
+  }
+
   test("all six approaches return exactly the same flat result") {
     val expected = bag(Engine.run(q, Seq(1, 2, 3), Approach.Std).flat.get)
     for (a <- Approach.all) {
@@ -99,7 +154,7 @@ class ExecutorCraftedSpec extends SparkSpec {
   }
 
   test("every approach's counts and flat bag equal the exact reference, full or emptied") {
-    for (e <- Seq(q, emptied(2), emptied(3))) {
+    for (e <- Seq(q, emptied(2), emptied(3), mm)) {
       val ref = new ExactReference(e)
       for (a <- Approach.all; order <- Seq(Seq(1, 2, 3), Seq(1, 3, 2), Seq(3, 1, 2)); flat <- Seq(true, false)
            if flat || a.usesCom) withClue(s"${a.name} $order flat=$flat: ") {

@@ -132,7 +132,11 @@ class ExecutorGeneratedSpec extends SparkSpec {
 
   test("graph self-join queries: COM equals STD (CE substitute)") {
     // Join columns (an edge's src and dst) repeat, so every hash table and
-    // key set here is built on duplicate keys.
+    // key set here is built on duplicate keys. On a path with the driver at
+    // one end, every evaluated node is on the path root → parent(l), so
+    // each alive COM entry there is one tuple of STD's partial join: Eq. (1)
+    // has no off-path survival factor, and each COM-family approach probes
+    // (and filters) exactly as its STD counterpart does.
     val cfg = GraphData.Config("t", 80, 400, 0.9)
     val e   = GraphData.edges(spark, cfg, seed = 5L)
     val q   = GraphData.aliasQuery(e, Seq(-1, 0, 1))
@@ -141,6 +145,10 @@ class ExecutorGeneratedSpec extends SparkSpec {
       val r = Engine.run(q, Seq(1, 2), a)
       assert(r.log.outRows == std.log.outRows)
       repro.Oracle.assertEquivalent(r.flat.get, q.flatSql, q.oracleTables: _*)
+    }
+    for ((com, flat) <- Seq(Approach.Com -> Approach.Std, Approach.BvpCom -> Approach.BvpStd,
+                            Approach.SjCom -> Approach.SjStd)) withClue(s"${com.name}: ") {
+      assert(Engine.run(q, Seq(1, 2), com).log == Engine.run(q, Seq(1, 2), flat).log)
     }
   }
 
