@@ -1,5 +1,7 @@
 package repro.engine
 
+import org.apache.spark.TaskContext
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.types.{LongType, StructField, StructType}
@@ -15,10 +17,10 @@ final case class ExecResult(flat: Option[DataFrame], log: ProbeLog)
 /** Runs a left-deep pipelined plan under one of the six approaches (§4.1),
   * in two Spark jobs, counted or not:
   *
-  *  1. One job collects the columns the plan needs from relations 1…n−1.
-  *     The driver indexes each relation by its join key (`KeyIndex`), runs
-  *     SJ's phase 1 on them (the build sides are global), and broadcasts
-  *     them with the plan.
+  *  1. One job, in one task, collects the columns the plan needs from
+  *     relations 1…n−1. The driver indexes each relation by its join key
+  *     (`KeyIndex`), runs SJ's phase 1 on them (the build sides are
+  *     global), and broadcasts them with the plan.
   *  2. One job runs the approach over each partition of the driver
   *     relation (`Pipeline`), in vectors, and returns the partition's
   *     counts.
@@ -30,6 +32,15 @@ final case class ExecResult(flat: Option[DataFrame], log: ProbeLog)
   * driver's memory, as the paper's hash tables are: one too large for job
   * 1's collect fails it through `spark.driver.maxResultSize` rather than
   * spilling. Every join and key column must be a non-null bigint.
+  *
+  * Every function the engine hands Spark is an instance of a named class
+  * below, and both jobs start through `SparkContext.runJob` rather than
+  * `RDD.collect`. Spark's `ClosureCleaner` scans the bytecode of the class
+  * that defines a lambda, for every job and `mapPartitions` that receives
+  * one (`collect`'s own lambdas live in `RDD` and `SparkContext`), and
+  * caches nothing; it skips a class that is not a lambda. That scan was
+  * most of a call's driver time at small sizes, so no lambda may reach
+  * Spark from here.
   */
 object Engine {
   /** Runs `approach` over `q` in `order` (for SJ, the phase-2 order).
@@ -90,8 +101,10 @@ object Engine {
       flatOutput, cols, ordinals(0), keyAt, linkAt, index, drivers)
 
     val driver = q.rels(0).queryExecution.toRdd
-    val bc     = driver.sparkContext.broadcast(plan)
-    val parts  = driver.mapPartitions(rows => Iterator.single(new Pipeline(bc.value, null).run(rows))).collect()
+    val sc     = driver.sparkContext
+    val bc     = sc.broadcast(plan)
+    val parts  = new Array[Counters](driver.getNumPartitions)
+    sc.runJob(driver, new RunPipeline(bc), parts.indices, (p: Int, c: Counters) => parts(p) = c)
 
     val out = parts.map(_.out).sum
     val log =
@@ -101,39 +114,69 @@ object Engine {
 
     val flat = if (!flatOutput) None else {
       val schema = StructType(q.outputCols.map(StructField(_, LongType, nullable = false)))
-      val rows   = driver.mapPartitions(r => Pipeline.tuples(bc.value, r).map(ks => Row.fromSeq(ks.toSeq)))
-      Some(q.rels(0).sparkSession.createDataFrame(rows, schema))
+      Some(q.rels(0).sparkSession.createDataFrame(driver.mapPartitions(new FlatRows(bc)), schema))
     }
     ExecResult(flat, log)
   }
 
   /** Job 1: the columns at `ordinals(i)` of relations 1…n−1, as `Long`
-    * arrays, in one job over their union. `cols(0)` is empty.
+    * arrays, in one task over their union. `cols(0)` is empty.
+    *
+    * A union's task carries the lineage of every relation in it, so one
+    * task (`coalesce(1)`, no shuffle) deserializes each relation's query
+    * once where a task per partition would do it once per partition.
     */
   private def collect(q: TreeQuery, ordinals: IndexedSeq[Array[Int]]): Array[Array[Array[Long]]] = {
     val n    = q.tree.n
     val cols = Array.fill(n)(Array.empty[Array[Long]])
     if (n > 1) {
-      val rdds = (1 until n).map { i =>
-        val ords = ordinals(i)
-        q.rels(i).queryExecution.toRdd.mapPartitions(rows => Iterator.single(i -> columns(rows, ords, i)))
-      }
-      val parts = rdds.head.sparkContext.union(rdds).collect()
+      val rdds  = (1 until n).map(i => q.rels(i).queryExecution.toRdd.mapPartitions(new ReadColumns(ordinals(i), i)))
+      val sc    = rdds.head.sparkContext
+      val build = sc.union(rdds).coalesce(1)
+      val parts = mutable.ArrayBuffer.empty[Part]
+      sc.runJob(build, new ToArray, build.partitions.indices, (_: Int, ps: Array[Part]) => parts ++= ps)
       for (i <- 1 until n) {
-        val mine = parts.collect { case (`i`, c) => c }
-        cols(i) = Array.tabulate(ordinals(i).length)(j => mine.flatMap(_(j)))
+        val mine = parts.filter(_.rel == i).toArray
+        cols(i) = Array.tabulate(ordinals(i).length)(j => mine.flatMap(_.cols(j)))
       }
     }
     cols
   }
 
-  /** The columns at `ords` of `rows`, relation `rel`'s, as `Long` arrays. */
-  private def columns(rows: Iterator[InternalRow], ords: Array[Int], rel: Int): Array[Array[Long]] = {
-    val b = Array.fill(ords.length)(new mutable.ArrayBuilder.ofLong)
-    for (row <- rows; j <- ords.indices) {
-      require(!row.isNullAt(ords(j)), s"the join and key columns of relation $rel hold no nulls")
-      b(j) += row.getLong(ords(j))
+  /** One partition of relation `rel`, as its columns. */
+  private final case class Part(rel: Int, cols: Array[Array[Long]])
+
+  /** Job 1's reader: a partition of relation `rel` as one `Part` with the
+    * columns at `ords`, as `Long` arrays.
+    */
+  private final class ReadColumns(ords: Array[Int], rel: Int)
+      extends (Iterator[InternalRow] => Iterator[Part]) with Serializable {
+    def apply(rows: Iterator[InternalRow]): Iterator[Part] = {
+      val b = Array.fill(ords.length)(new mutable.ArrayBuilder.ofLong)
+      for (row <- rows; j <- ords.indices) {
+        require(!row.isNullAt(ords(j)), s"the join and key columns of relation $rel hold no nulls")
+        b(j) += row.getLong(ords(j))
+      }
+      Iterator.single(Part(rel, b.map(_.result())))
     }
-    b.map(_.result())
+  }
+
+  /** Job 1's result: every `Part` of the task's partition. */
+  private final class ToArray extends ((TaskContext, Iterator[Part]) => Array[Part]) with Serializable {
+    def apply(ctx: TaskContext, parts: Iterator[Part]): Array[Part] = parts.toArray
+  }
+
+  /** Job 2: one driver partition through the pipeline, as its counts. */
+  private final class RunPipeline(bc: Broadcast[Plan])
+      extends ((TaskContext, Iterator[InternalRow]) => Counters) with Serializable {
+    def apply(ctx: TaskContext, rows: Iterator[InternalRow]): Counters = new Pipeline(bc.value, null).run(rows)
+  }
+
+  /** The flat result: one driver partition's output tuples, as rows of
+    * their key columns.
+    */
+  private final class FlatRows(bc: Broadcast[Plan]) extends (Iterator[InternalRow] => Iterator[Row]) with Serializable {
+    def apply(rows: Iterator[InternalRow]): Iterator[Row] =
+      Pipeline.tuples(bc.value, rows).map(ks => Row.fromSeq(ks.toSeq))
   }
 }

@@ -32,7 +32,8 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
       override def onJobStart(e: SparkListenerJobStart): Unit =
         jobs.add((e.jobId, SparkSpec.Job(
           if (e.stageInfos.isEmpty) "" else e.stageInfos.maxBy(_.stageId).name,
-          e.stageInfos.length - 1)))
+          e.stageInfos.length - 1,
+          e.stageInfos.sortBy(_.stageId).map(_.numTasks))))
     }
     spark.sparkContext.addSparkListener(listener)
     try {
@@ -69,10 +70,11 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
 }
 
 object SparkSpec {
-  /** A Spark job: its call site (the name of its last stage) and how many
-    * of its stages write a shuffle: all but its result stage.
+  /** A Spark job: its call site (the name of its last stage), how many of
+    * its stages write a shuffle (all but its result stage) and each stage's
+    * task count, in stage order. A job over no partition has no stage.
     */
-  final case class Job(site: String, shuffleStages: Int)
+  final case class Job(site: String, shuffleStages: Int, stageTasks: Seq[Int])
 
   lazy val shared: SparkSession = {
     val s = Spark.session("repro")

@@ -177,12 +177,12 @@ class ExecutorCraftedSpec extends SparkSpec {
     assert(r.log.outRows == 4L)
   }
 
-  /** `q` with relation `i` emptied: a scan of an RDD with no partitions,
-    * so no task reads it.
+  /** `q` with relations `is` emptied: each a scan of an RDD with no
+    * partitions, so no task reads it.
     */
-  private def emptied(i: Int): TreeQuery =
-    q.copy(rels = q.rels.updated(i,
-      spark.createDataFrame(spark.sparkContext.emptyRDD[Row], q.rels(i).schema)))
+  private def emptied(is: Int*): TreeQuery =
+    q.copy(rels = is.foldLeft(q.rels)((rels, i) => rels.updated(i,
+      spark.createDataFrame(spark.sparkContext.emptyRDD[Row], q.rels(i).schema))))
 
   /** Every approach, counted or not, returns no rows, as the oracle does. */
   private def assertNoRows(e: TreeQuery): Unit =
@@ -230,6 +230,8 @@ class ExecutorCraftedSpec extends SparkSpec {
       intercept[IllegalArgumentException](Engine.run(q, Seq(1, 2, 3), a, flatOutput = false))
   }
 
+  private lazy val driverParts = q.rels(0).queryExecution.toRdd.getNumPartitions
+
   /** Every approach with flat output, and the COM family's factorized. */
   private val outputs = Approach.all.map((_, true)) ++ Approach.all.filter(_.usesCom).map((_, false))
 
@@ -241,10 +243,28 @@ class ExecutorCraftedSpec extends SparkSpec {
     // survival and alive filters are probes into key sets inside job 2;
     // the counts and the output rows return with job 2's results; and the
     // flat result is a lazy DataFrame.
+    // Job 1 reads the union in one task; job 2 runs a task per driver
+    // partition.
     for ((a, flat) <- outputs; counting <- Seq(true, false)) {
       val (r, jobs) = recordJobs(Engine.run(q, Seq(1, 2, 3), a, counting, flat))
       assert(r.log.outRows == (if (flat) 1L else 4L), s"${a.name} flat=$flat counting=$counting")
-      assert(jobs.length == 2, s"${a.name} flat=$flat counting=$counting: ${jobs.mkString(", ")}")
+      assert(jobs.map(_.stageTasks) == Seq(Seq(1), Seq(driverParts)),
+        s"${a.name} flat=$flat counting=$counting: ${jobs.mkString(", ")}")
+    }
+  }
+
+  test("no partition to read: every build side empty, or the driver") {
+    // Emptied R1–R3 leave job 1's union with no partition, so it runs no
+    // task; an emptied driver leaves job 2 none. Each is still one job.
+    for ((e, tasks) <- Seq(emptied(1, 2, 3) -> Seq(0, driverParts), emptied(0) -> Seq(1, 0))) {
+      val ref = new ExactReference(e)
+      for ((a, flat) <- outputs) withClue(s"${a.name} flat=$flat tasks=$tasks: ") {
+        val (r, jobs) = recordJobs(Engine.run(e, Seq(1, 2, 3), a, counting = true, flatOutput = flat))
+        assert(r.log.outRows == 0L)
+        assert(r.log == ref.log(Seq(1, 2, 3), a, flat))
+        if (flat) assert(bag(r.flat.get) == ref.bag)
+        assert(jobs.map(_.stageTasks.sum) == tasks, jobs.mkString(", "))
+      }
     }
   }
 

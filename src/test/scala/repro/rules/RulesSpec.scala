@@ -2,12 +2,12 @@ package repro.rules
 
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.catalyst.plans.{Inner, LeftSemi}
-import org.apache.spark.sql.catalyst.plans.logical.{Join, LogicalPlan}
+import org.apache.spark.sql.catalyst.plans.logical.{Join, LogicalPlan, SubqueryAlias}
 import org.apache.spark.sql.catalyst.rules.Rule
 import org.apache.spark.sql.functions.col
 import repro.SparkSpec
-import repro.core.{EdgeStats, JoinTree}
-import repro.data.TreeData
+import repro.core.{EdgeStats, JoinTree, Optimizer}
+import repro.data.{GraphData, TreeData}
 
 /** Catalyst integration: the semi-join reduction rule and the
   * many-to-many reorder rule, injected via extraOptimizations, must change
@@ -109,13 +109,13 @@ class RulesSpec extends SparkSpec {
   private def relsOf(p: LogicalPlan): Set[Int] =
     q.keyCol.indices.filter(i => p.output.exists(_.name == q.keyCol(i))).toSet
 
-  /** The relations each inner join of `df`'s optimized plan brings in on
-    * its right side, in execution (post-) order: for a left-deep chain, its
-    * join order after the driver.
+  /** The relations (as `rels` tells them) each inner join of `df`'s
+    * optimized plan brings in on its right side, in execution (post-)
+    * order: for a left-deep chain, its join order after the driver.
     */
-  private def joinOrder(df: DataFrame): Seq[Set[Int]] = {
+  private def joinOrder(df: DataFrame, rels: LogicalPlan => Set[Int] = relsOf): Seq[Set[Int]] = {
     def joins(p: LogicalPlan): Seq[Set[Int]] = p match {
-      case j: Join if j.joinType == Inner => joins(j.left) ++ joins(j.right) :+ relsOf(j.right)
+      case j: Join if j.joinType == Inner => joins(j.left) ++ joins(j.right) :+ rels(j.right)
       case other                          => other.children.flatMap(joins)
     }
     joins(df.queryExecution.optimizedPlan)
@@ -182,6 +182,43 @@ class RulesSpec extends SparkSpec {
     }
     // Written in the chosen order, the chain is already optimal.
     assertUntouched(chain(chosen.map(_.head)), rule, chosen)
+  }
+
+  test("ManyToManyReorder on a self-join chain of aliases with repeated column names") {
+    // A centred path over aliases of one edge table E(eid, src, dst), as
+    // GraphData's queries are: e1 and then e3 follow e0's out-edges
+    // (dst = src), e2 precedes e0 (e0.src = e2.dst). Every alias has the
+    // same column names, so the statistics keyed by column pair are one per
+    // direction: out-edges with m = 0.9, the in-edge with m = 0.1.
+    val e = GraphData.edges(spark, GraphData.Config("guard", 40, 160, 0.9), seed = 5L)
+    val edges = Seq((0, "dst", 1, "src"), (1, "dst", 3, "src"), (0, "src", 2, "dst"))
+    def selfJoin = edges.foldLeft(e.as("e0")) { case (df, (p, pc, c, cc)) =>
+      df.join(e.as(s"e$c"), col(s"e$p.$pc") === col(s"e$c.$cc"))
+    }.select((0 to 3).map(i => col(s"e$i.eid").as(s"k$i")): _*)
+    val sql = "SELECT " + (0 to 3).map(i => s"e$i.eid AS k$i").mkString(", ") +
+      " FROM " + (0 to 3).map(i => s"e e$i").mkString(", ") +
+      " WHERE " + edges.map { case (p, pc, c, cc) => s"e$p.$pc = e$c.$cc" }.mkString(" AND ")
+    val byPair: (String, String) => Option[EdgeStats] = {
+      case ("dst", "src") => Some(EdgeStats(0.9, 4.0))
+      case ("src", "dst") => Some(EdgeStats(0.1, 4.0))
+      case _              => None
+    }
+    // The chain's leaves in written order are e0, e1, e3, e2. Algorithm 1
+    // on that tree joins the in-edge (leaf 3, alias e2) first.
+    val best = Optimizer.exhaustiveCom(JoinTree(Seq((0, 0.9, 4.0), (1, 0.9, 4.0), (0, 0.1, 4.0))))._1
+    val alias = Seq(0, 1, 3, 2)
+    assert(best.head == 3)
+    withRules(ManyToManyReorder(byPair)) {
+      val df = selfJoin
+      // Each alias's `eid` attribute tells its leaf in the optimized plan.
+      val eids = (0 to 3).map(i => df.queryExecution.analyzed.collectFirst {
+        case a: SubqueryAlias if a.alias == s"e$i" => a.output.find(_.name == "eid").get.exprId
+      }.get)
+      def aliasesOf(p: LogicalPlan): Set[Int] =
+        eids.indices.filter(i => p.output.exists(_.exprId == eids(i))).toSet
+      assert(joinOrder(df, aliasesOf) == best.map(l => Set(alias(l))))
+      repro.Oracle.assertEquivalent(df, sql, "e" -> e)
+    }
   }
 
   test("ManyToManyReorder composes with SemiJoinReduction") {
