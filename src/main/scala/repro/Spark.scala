@@ -6,8 +6,10 @@ import org.apache.spark.sql.SparkSession
   * runner and the tests: local mode unless `SPARK_MASTER` names another
   * master, 8 shuffle partitions (the datasets are small, so scheduling
   * overhead dominates otherwise), and automatic broadcast joins off, so a
-  * DataFrame join (the Catalyst rules' chains, `Estimation`) is planned by
-  * Spark without size-based broadcasts.
+  * DataFrame join that Spark plans is planned without size-based
+  * broadcasts. Those joins are `Estimation`'s, `SemiJoinReduction`'s and
+  * the chains `ManyToManyReorder` leaves to Spark; a chain it hands to the
+  * engine (`ManyToManyJoinExec`) runs no Spark join.
   */
 object Spark {
   def session(app: String): SparkSession = {

@@ -122,6 +122,18 @@ object CostModel {
   }
 
   /** The cost of joining `l` next after the evaluated set `evalMask`, under
+    * STD: c_l × N Π_{j ∈ evalMask} s_j hash probes, and the tuples of the
+    * join's output, N Π s over the evaluated set and l. It depends only on
+    * (`evalMask`, l), so Algorithm 1 applies (`Optimizer.exhaustiveStd`),
+    * and it adds up along an order to `cost(tree, order, Std)`.
+    */
+  def stdStep(tree: JoinTree, evalMask: Int, l: Int): PlanCost = {
+    var t = tree.driverSize
+    for (i <- 1 until tree.n if (evalMask & bit(i)) != 0) t *= tree.stats(i).s
+    PlanCost(tree.probeCost(l) * t, 0, 0, t * tree.stats(l).s)
+  }
+
+  /** The cost of joining `l` next after the evaluated set `evalMask`, under
     * COM (`eps = None`) or BVP+COM (`Some(ε)`): c_l × Eq. (1) hash probes
     * and, with ε, the bitvectors of l's children, which fire right after l
     * joins and filter the entries at l's level. Those entries are the

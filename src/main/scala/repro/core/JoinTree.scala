@@ -29,13 +29,16 @@ final case class EdgeStats(m: Double, fo: Double) {
   * base-relation sizes. By default sizes follow the generative model used by
   * our data generator: `|c| = |p| × m × fo` (every child row has exactly one
   * parent row).
+  *
+  * Serializable, because Spark serializes physical plans that hold one
+  * (`repro.rules.ManyToManyJoinExec`) with the tasks that capture them.
   */
 final class JoinTree(
     val parent: Array[Int],
     val stats: Array[EdgeStats],
     val probeCost: Array[Double],
     val driverSize: Double,
-) {
+) extends Serializable {
   require(parent.length == stats.length && parent.length == probeCost.length)
   require(parent.length >= 1 && parent(0) == -1, "node 0 must be the root/driver")
   require(parent.length <= JoinTree.MaxRelations,

@@ -64,6 +64,12 @@ object Optimizer {
   def exhaustiveCom(tree: JoinTree): (List[Int], Double) =
     exhaustive(tree, CostModel.comStep(tree, _, _, None).htProbes)
 
+  /** Optimal STD order via Algorithm 1, under the weighted total of
+    * `CostModel.stdStep`: hash probes and every intermediate tuple.
+    */
+  def exhaustiveStd(tree: JoinTree, w: Weights = Weights()): (List[Int], Double) =
+    exhaustive(tree, CostModel.stdStep(tree, _, _).total(w))
+
   /** Optimal BVP+COM order via Algorithm 1 (Thm 3.3). Adds the constant
     * driver-level bitvector sweep to the returned cost.
     */

@@ -2,11 +2,13 @@ package repro.engine
 
 import org.apache.spark.TaskContext
 import org.apache.spark.broadcast.Broadcast
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.catalyst.expressions.codegen.UnsafeRowWriter
 import org.apache.spark.sql.types.{LongType, StructField, StructType}
 import scala.collection.mutable
-import repro.core.{Approach, CostModel, SemiJoinModel}
+import repro.core.{Approach, CostModel, JoinTree, SemiJoinModel}
 import repro.data.TreeQuery
 
 /** Result of one plan execution: the flat result (when requested) and the
@@ -25,13 +27,18 @@ final case class ExecResult(flat: Option[DataFrame], log: ProbeLog)
   *     relation (`Pipeline`), in vectors, and returns the partition's
   *     counts.
   *
-  * No job shuffles. Both jobs read the relations through their own query
-  * plans (`queryExecution.toRdd`), which Spark plans once per DataFrame,
-  * so a call plans no query; a relation persisted after the engine first
-  * read it is still read from its source. A build side is held in the
-  * driver's memory, as the paper's hash tables are: one too large for job
-  * 1's collect fails it through `spark.driver.maxResultSize` rather than
-  * spilling. Every join and key column must be a non-null bigint.
+  * No job shuffles. Both jobs read the relations as `RDD[InternalRow]`s
+  * (`Inputs`), by column ordinal. `run` reads a `TreeQuery`'s relations
+  * through their own query plans (`queryExecution.toRdd`), which Spark
+  * plans once per DataFrame, so a call plans no query; a relation
+  * persisted after the engine first read it is still read from its
+  * source. `flat` is the same path without job 2, for the
+  * `ManyToManyJoinExec` operator over its children's rows: the pipeline
+  * then runs in the job of the query that reads the flat result. A build
+  * side is held in the driver's memory, as the paper's hash tables are:
+  * one too large for job 1's collect fails it through
+  * `spark.driver.maxResultSize` rather than spilling. Every join and
+  * output column must be a non-null bigint.
   *
   * Every function the engine hands Spark is an instance of a named class
   * below, and both jobs start through `SparkContext.runJob` rather than
@@ -43,6 +50,20 @@ final case class ExecResult(flat: Option[DataFrame], log: ProbeLog)
   * Spark from here.
   */
 object Engine {
+  /** The relations of a plan as the engine reads them: each one's rows and
+    * the ordinals there of the columns it reads, every one a non-null
+    * bigint.
+    *
+    * @param rows      relation i's rows, indexed by node
+    * @param parentCol for i ≥ 1: the ordinal, in the rows of `parent(i)`,
+    *                  of the column that relation i joins on
+    * @param childCol  for i ≥ 1: the ordinal, in relation i's rows, of the
+    *                  column that joins it to its parent
+    * @param out       the output columns, in order: (relation, ordinal)
+    */
+  final case class Inputs(rows: IndexedSeq[RDD[InternalRow]], parentCol: IndexedSeq[Int],
+                          childCol: IndexedSeq[Int], out: IndexedSeq[(Int, Int)])
+
   /** Runs `approach` over `q` in `order` (for SJ, the phase-2 order).
     *
     * Every count is a sum over the driver's partitions of what the pipeline
@@ -58,22 +79,57 @@ object Engine {
   def run(q: TreeQuery, order: Seq[Int], approach: Approach,
           counting: Boolean = true, flatOutput: Boolean = true): ExecResult = {
     val t = q.tree
+    def ordinal(i: Int, c: String): Int = {
+      val dt = q.rels(i).schema(c).dataType
+      require(dt == LongType, s"column $c of relation $i is ${dt.simpleString}, not bigint")
+      q.rels(i).schema.fieldIndex(c)
+    }
+    val in = Inputs(q.rels.map(_.queryExecution.toRdd),
+      parentCol = (0 until t.n).map(i => if (i == 0) -1 else ordinal(t.parent(i), q.parentCol(i))),
+      childCol  = (0 until t.n).map(i => if (i == 0) -1 else ordinal(i, q.childCol(i))),
+      out       = (0 until t.n).map(i => (i, ordinal(i, q.keyCol(i)))))
+    val (bc, semi) = prepare(t, order, approach, flatOutput, in)
+
+    val driver = in.rows(0)
+    val parts  = new Array[Counters](driver.getNumPartitions)
+    driver.sparkContext.runJob(driver, new RunPipeline(bc), parts.indices, (p: Int, c: Counters) => parts(p) = c)
+
+    val out = parts.map(_.out).sum
+    val log =
+      if (!counting) ProbeLog(Map.empty, 0L, 0L, out)
+      else ProbeLog(order.indices.map(s => order(s) -> parts.map(_.ht(s)).sum).toMap,
+        parts.map(_.bv).sum, semi + parts.map(_.semi).sum, out)
+
+    val flat = if (!flatOutput) None else {
+      val schema = StructType(q.outputCols.map(StructField(_, LongType, nullable = false)))
+      Some(q.rels(0).sparkSession.createDataFrame(driver.mapPartitions(new FlatRows(bc)).map(new ToRow), schema))
+    }
+    ExecResult(flat, log)
+  }
+
+  /** The flat result of `approach` over `in` in `order`, lazily: one
+    * `UnsafeRow` of the output columns per tuple. Job 1 runs now.
+    */
+  def flat(tree: JoinTree, order: Seq[Int], approach: Approach, in: Inputs): RDD[InternalRow] =
+    in.rows(0).mapPartitions(new FlatRows(prepare(tree, order, approach, flatOutput = true, in)._1))
+
+  /** Job 1 and the driver's part: the plan, broadcast, and SJ's phase-1
+    * semi-join probes.
+    */
+  private def prepare(t: JoinTree, order: Seq[Int], approach: Approach, flatOutput: Boolean,
+                      in: Inputs): (Broadcast[Plan], Long) = {
     CostModel.validateOrder(t, order)
     require(flatOutput || approach.usesCom, s"${approach.name} has no factorized output")
 
-    // The columns each relation contributes: its key, its join column and
-    // the join columns of its children.
-    val names = (0 until t.n).map { i =>
-      ((q.keyCol(i) +: (if (i == 0) Nil else Seq(q.childCol(i)))) ++ t.children(i).map(q.parentCol)).distinct
+    // The columns each relation contributes, as ordinals in its rows: its
+    // output columns, its join column and the join columns of its children.
+    val ordinals = (0 until t.n).map { i =>
+      (in.out.collect { case (`i`, o) => o } ++ (if (i == 0) Nil else Seq(in.childCol(i))) ++
+        t.children(i).map(in.parentCol)).distinct.toArray
     }
-    for (i <- 0 until t.n; c <- names(i)) {
-      val dt = q.rels(i).schema(c).dataType
-      require(dt == LongType, s"column $c of relation $i is ${dt.simpleString}, not bigint")
-    }
-    val ordinals = (0 until t.n).map(i => names(i).map(q.rels(i).schema.fieldIndex).toArray)
-    val keyAt  = Array.tabulate(t.n)(i => names(i).indexOf(q.keyCol(i)))
-    val linkAt = Array.tabulate(t.n)(i => if (i == 0) -1 else names(t.parent(i)).indexOf(q.parentCol(i)))
-    val cols   = collect(q, ordinals)
+    val outAt  = in.out.map { case (i, o) => ordinals(i).indexOf(o) }.toArray
+    val linkAt = Array.tabulate(t.n)(i => if (i == 0) -1 else ordinals(t.parent(i)).indexOf(in.parentCol(i)))
+    val cols   = collect(in.rows, ordinals)
 
     // SJ phase 1 (§4.5, Yannakakis §3.6) on relations 1…n−1, bottom-up:
     // each is reduced by its already reduced children in ascending
@@ -91,32 +147,15 @@ object Engine {
         }
         cols(i) = cols(i).map(c => rows.map(c))
       }
-      index(i) = KeyIndex(cols(i)(names(i).indexOf(q.childCol(i))))
+      index(i) = KeyIndex(cols(i)(ordinals(i).indexOf(in.childCol(i))))
     }
     val drivers =
       if (approach.semiJoins) p1(0).toArray
       else if (approach.bitvectors) t.children(0).toArray
       else Array.emptyIntArray
     val plan = new Plan(t.parent.clone(), t.children.map(_.toArray), order.toArray, approach,
-      flatOutput, cols, ordinals(0), keyAt, linkAt, index, drivers)
-
-    val driver = q.rels(0).queryExecution.toRdd
-    val sc     = driver.sparkContext
-    val bc     = sc.broadcast(plan)
-    val parts  = new Array[Counters](driver.getNumPartitions)
-    sc.runJob(driver, new RunPipeline(bc), parts.indices, (p: Int, c: Counters) => parts(p) = c)
-
-    val out = parts.map(_.out).sum
-    val log =
-      if (!counting) ProbeLog(Map.empty, 0L, 0L, out)
-      else ProbeLog(order.indices.map(s => order(s) -> parts.map(_.ht(s)).sum).toMap,
-        parts.map(_.bv).sum, semi + parts.map(_.semi).sum, out)
-
-    val flat = if (!flatOutput) None else {
-      val schema = StructType(q.outputCols.map(StructField(_, LongType, nullable = false)))
-      Some(q.rels(0).sparkSession.createDataFrame(driver.mapPartitions(new FlatRows(bc)), schema))
-    }
-    ExecResult(flat, log)
+      flatOutput, cols, ordinals(0), in.out.map(_._1).toArray, outAt, linkAt, index, drivers)
+    (in.rows(0).sparkContext.broadcast(plan), semi)
   }
 
   /** Job 1: the columns at `ordinals(i)` of relations 1…n−1, as `Long`
@@ -126,11 +165,12 @@ object Engine {
     * task (`coalesce(1)`, no shuffle) deserializes each relation's query
     * once where a task per partition would do it once per partition.
     */
-  private def collect(q: TreeQuery, ordinals: IndexedSeq[Array[Int]]): Array[Array[Array[Long]]] = {
-    val n    = q.tree.n
+  private def collect(rels: IndexedSeq[RDD[InternalRow]],
+                      ordinals: IndexedSeq[Array[Int]]): Array[Array[Array[Long]]] = {
+    val n    = rels.length
     val cols = Array.fill(n)(Array.empty[Array[Long]])
     if (n > 1) {
-      val rdds  = (1 until n).map(i => q.rels(i).queryExecution.toRdd.mapPartitions(new ReadColumns(ordinals(i), i)))
+      val rdds  = (1 until n).map(i => rels(i).mapPartitions(new ReadColumns(ordinals(i), i)))
       val sc    = rdds.head.sparkContext
       val build = sc.union(rdds).coalesce(1)
       val parts = mutable.ArrayBuffer.empty[Part]
@@ -172,11 +212,24 @@ object Engine {
     def apply(ctx: TaskContext, rows: Iterator[InternalRow]): Counters = new Pipeline(bc.value, null).run(rows)
   }
 
-  /** The flat result: one driver partition's output tuples, as rows of
-    * their key columns.
+  /** The flat result: one driver partition's output tuples, as `UnsafeRow`s
+    * of their output columns. The row is reused.
     */
-  private final class FlatRows(bc: Broadcast[Plan]) extends (Iterator[InternalRow] => Iterator[Row]) with Serializable {
-    def apply(rows: Iterator[InternalRow]): Iterator[Row] =
-      Pipeline.tuples(bc.value, rows).map(ks => Row.fromSeq(ks.toSeq))
+  private final class FlatRows(bc: Broadcast[Plan])
+      extends (Iterator[InternalRow] => Iterator[InternalRow]) with Serializable {
+    def apply(rows: Iterator[InternalRow]): Iterator[InternalRow] = {
+      val w = new UnsafeRowWriter(bc.value.outRel.length)
+      Pipeline.tuples(bc.value, rows).map { ks =>
+        w.reset()
+        w.zeroOutNullBytes()
+        for (k <- ks.indices) w.write(k, ks(k))
+        w.getRow
+      }
+    }
+  }
+
+  /** A flat result row as a `Row` of bigints. */
+  private final class ToRow extends (InternalRow => Row) with Serializable {
+    def apply(r: InternalRow): Row = Row.fromSeq((0 until r.numFields).map(r.getLong))
   }
 }

@@ -11,8 +11,9 @@ import repro.core.Approach
   * @param cols    `cols(i)(j)`: column j of relation i ≥ 1, after SJ's
   *                phase 1 (the driver streams: `cols(0)` is empty)
   * @param driverCols the ordinals of the driver's columns in its rows
-  * @param keyAt   the column of `keyCol(i)` in relation i's columns (for
-  *                the driver, in `driverCols`)
+  * @param outRel  for each output column: the relation that holds it
+  * @param outAt   for each output column: its column in the columns of its
+  *                relation (for the driver, in `driverCols`)
   * @param linkAt  for i ≥ 1: the column of `parentCol(i)` in the columns of
   *                `parent(i)` (or in `driverCols`)
   * @param index   for i ≥ 1: relation i's rows by `childCol(i)`; also the
@@ -28,7 +29,8 @@ private[engine] final class Plan(
     val flatOutput: Boolean,
     val cols: Array[Array[Array[Long]]],
     val driverCols: Array[Int],
-    val keyAt: Array[Int],
+    val outRel: Array[Int],
+    val outAt: Array[Int],
     val linkAt: Array[Int],
     val index: Array[KeyIndex],
     val drivers: Array[Int],
@@ -55,8 +57,8 @@ private[engine] final class Counters(steps: Int) extends Serializable {
   * vector) and whether it survives its evaluated subtree (the selection
   * vector).
   *
-  * `emit`, when given, receives every output tuple's key columns, driver
-  * first; the array is reused.
+  * `emit`, when given, receives every output tuple's output columns; the
+  * array is reused.
   */
 private[engine] final class Pipeline(plan: Plan, emit: Array[Long] => Unit) {
   import Pipeline.VectorSize
@@ -72,7 +74,7 @@ private[engine] final class Pipeline(plan: Plan, emit: Array[Long] => Unit) {
   nodeCols(0) = Array.fill(width)(new Array[Long](V))
   /** The driver rows of the vector that pass its filters. */
   private val sel  = new Array[Int](V)
-  private val keys = new Array[Long](n)
+  private val outs = new Array[Long](outRel.length)
 
   /** Reads the next vector of at most `V` rows from `rows` into the
     * driver's columns, and returns its size.
@@ -150,8 +152,8 @@ private[engine] final class Pipeline(plan: Plan, emit: Array[Long] => Unit) {
     if (k == m) {
       counters.out += size
       if (emit != null) for (t <- 0 until size) {
-        for (i <- 0 until n) keys(i) = nodeCols(i)(keyAt(i))(chunks(m)(posOf(i))(t))
-        emit(keys)
+        for (o <- outRel.indices) outs(o) = nodeCols(outRel(o))(outAt(o))(chunks(m)(posOf(outRel(o)))(t))
+        emit(outs)
       }
     } else {
       val l     = order(k)
@@ -317,8 +319,8 @@ private[engine] final class Pipeline(plan: Plan, emit: Array[Long] => Unit) {
     if (i == n) {
       counters.out += 1
       if (emit != null) {
-        for (j <- 0 until n) keys(j) = nodeCols(j)(keyAt(j))(erow(j)(cur(j)))
-        emit(keys)
+        for (o <- outRel.indices) outs(o) = nodeCols(outRel(o))(outAt(o))(erow(outRel(o))(cur(outRel(o))))
+        emit(outs)
       }
     } else {
       val pe   = cur(parent(i))
@@ -335,8 +337,8 @@ private[engine] object Pipeline {
   /** Driver rows per vector, and flat tuples per chunk. */
   val VectorSize = 2048
 
-  /** The output tuples of `rows`, each as its key columns (driver first),
-    * produced one vector at a time.
+  /** The output tuples of `rows`, each as its output columns, produced one
+    * vector at a time.
     */
   def tuples(plan: Plan, rows: Iterator[InternalRow]): Iterator[Array[Long]] = {
     val out  = scala.collection.mutable.ArrayBuffer.empty[Array[Long]]

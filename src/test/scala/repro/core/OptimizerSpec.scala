@@ -37,6 +37,20 @@ class OptimizerSpec extends AnyFunSuite {
     }
   }
 
+  test("exhaustive DP equals brute force under the weighted STD cost") {
+    val rng = new Random(19)
+    val w   = Weights()
+    for (i <- 0 until 20) {
+      val n    = 4 + rng.nextInt(4)
+      val tree = JoinTree.random(n, (0.05, 0.9), (1, 8), rng, driverSize = 100)
+      def stdCost(order: Seq[Int]): Double = CostModel.cost(tree, order, Approach.Std).total(w)
+      val (dpOrder, dpCost) = Optimizer.exhaustiveStd(tree, w)
+      val (_, bfCost)       = BruteForce(tree, stdCost)
+      assert(math.abs(dpCost - bfCost) <= 1e-9 * math.max(1.0, bfCost), s"tree $i")
+      assert(math.abs(stdCost(dpOrder) - dpCost) <= 1e-9 * math.max(1.0, dpCost))
+    }
+  }
+
   test("DP handles the 20-node star (the worst case for subtree count)") {
     val rng  = new Random(19)
     val tree = JoinTree.star(20,

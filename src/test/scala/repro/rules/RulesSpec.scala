@@ -6,8 +6,9 @@ import org.apache.spark.sql.catalyst.plans.logical.{Join, LogicalPlan, SubqueryA
 import org.apache.spark.sql.catalyst.rules.Rule
 import org.apache.spark.sql.functions.col
 import repro.SparkSpec
-import repro.core.{EdgeStats, JoinTree, Optimizer}
-import repro.data.{GraphData, TreeData}
+import repro.core.{Approach, EdgeStats, JoinTree, Optimizer}
+import repro.data.{GraphData, TreeData, TreeQuery}
+import repro.rules.ManyToManyReorder.{Chain, ChainTag}
 
 /** Catalyst integration: the semi-join reduction rule and the
   * many-to-many reorder rule, injected via extraOptimizations, must change
@@ -17,6 +18,7 @@ class RulesSpec extends SparkSpec {
 
   override def afterAll(): Unit = {
     spark.experimental.extraOptimizations = Nil
+    spark.experimental.extraStrategies = Nil
     super.afterAll()
   }
 
@@ -226,6 +228,79 @@ class RulesSpec extends SparkSpec {
       val df = chain(Seq(2, 1, 3))
       assert(countSemiJoins(df) >= 1)
       repro.Oracle.assertEquivalent(df, q.flatSql, q.oracleTables: _*)
+    }
+  }
+
+  /** `q`'s relations joined in node order, each on its edge, with the
+    * columns `cols`.
+    */
+  private def inNodeOrder(q: TreeQuery, cols: Seq[String]): DataFrame = {
+    var cur = q.rels(0)
+    for (l <- 1 until q.tree.n)
+      cur = cur.join(q.rels(l), col(q.parentCol(l)) === col(q.childCol(l)))
+    cur.select(cols.map(col): _*)
+  }
+  /** The rule with `q.tree`'s statistics, keyed by edge. */
+  private def ruleOf(q: TreeQuery): ManyToManyReorder = ManyToManyReorder { (pc, cc) =>
+    (1 until q.tree.n).find(i => q.parentCol(i) == pc && q.childCol(i) == cc).map(q.tree.stats(_))
+  }
+
+  /** The decision on the chain's top join in `df`'s optimized plan. */
+  private def chainOf(df: DataFrame): Chain =
+    df.queryExecution.optimizedPlan.collectFirst { case j: Join => j.getTagValue(ChainTag) }.flatten.get
+
+  private def operators(df: DataFrame): Seq[ManyToManyJoinExec] =
+    df.queryExecution.sparkPlan.collect { case e: ManyToManyJoinExec => e }
+
+  test("ManyToManyReorder runs perfbench's path4 chain as one engine operator, in at most 4 jobs") {
+    // The centred path the benchmark runs: R1 and R3 join the driver, R2
+    // joins R1; every key selected, counted and collected.
+    val t  = JoinTree.centeredPath(4,
+      Seq(EdgeStats(0.1, 2.0), EdgeStats(0.2, 3.0), EdgeStats(0.15, 4.0)), driverSize = 3000)
+    val pq = TreeData.generate(spark, t, seed = 7L)
+    withRules(ruleOf(pq)) {
+      val df = inNodeOrder(pq, pq.outputCols)
+      val (_, optimizing) = recordJobs(df.queryExecution.optimizedPlan)
+      assert(optimizing.isEmpty, "the optimizer runs no Spark job")
+
+      // The decision explains itself: tree and statistics, both orders
+      // with their costs, and the approach CostModel ranks cheapest.
+      val c     = chainOf(df)
+      val order = Optimizer.exhaustiveCom(c.tree)._1
+      assert(c.tree.parent.sameElements(t.parent) && c.tree.stats.sameElements(t.stats))
+      assert(c.written == List(1, 2, 3) && c.order == order && c.declined.isEmpty)
+      assert(c.approach == Approach.all.minBy(Chain.cost(c.tree, order, _)))
+      assert(c.toString.contains(f"written [1,2,3] cost ${c.cost(c.written)}%.4g"))
+      assert(c.toString.contains(f"chosen [${order.mkString(",")}] cost ${c.cost(order)}%.4g"))
+      assert(c.toString.contains(s"approach ${c.approach.name}"))
+      val ops = operators(df)
+      assert(ops.size == 1 && ops.head.simpleString(10).contains(c.toString))
+
+      val (rows, counting) = recordJobs(df.count())
+      val (got, collecting) = recordJobs(bag(df))
+      assert(counting.size <= 4 && collecting.size <= 4, s"count: $counting, collect: $collecting")
+      assert(rows == got.values.sum && rows > 0)
+      repro.Oracle.assertEquivalent(df, pq.flatSql, pq.oracleTables: _*)
+    }
+  }
+
+  test("ManyToManyReorder leaves a chain that outputs an int column to Spark, in the STD order") {
+    // A star on which COM joins R1 first (m = 0.2 ends most driver rows)
+    // and STD joins it last (its selectivity, 2, is the highest).
+    val t  = JoinTree.star(4, Seq(EdgeStats(0.2, 10.0), EdgeStats(0.9, 1.0), EdgeStats(0.5, 1.5)), 300)
+    val sq = TreeData.generate(spark, t, seed = 11L)
+    val std = Optimizer.exhaustiveStd(t)._1
+    assert(std != Optimizer.exhaustiveCom(t)._1)
+    withRules(ruleOf(sq)) {
+      val df = inNodeOrder(sq, sq.outputCols :+ "p1")
+      val c  = chainOf(df)
+      assert(c.declined.exists(_.contains("p1")) && c.approach == Approach.Std)
+      assert(c.order == std && c.toString.contains("STD on Spark"))
+      assert(joinOrder(df, p => (1 to 3).filter(i => p.output.exists(_.name == sq.keyCol(i))).toSet) ==
+        std.map(Set(_)))
+      assert(operators(df).isEmpty)
+      val sql = sq.flatSql.replace("SELECT ", "SELECT t1.p1 AS p1, ")
+      repro.Oracle.assertEquivalent(df, sql, sq.oracleTables: _*)
     }
   }
 }
