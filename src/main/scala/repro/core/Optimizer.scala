@@ -67,8 +67,8 @@ object Optimizer {
   /** Optimal STD order via Algorithm 1, under the weighted total of
     * `CostModel.stdStep`: hash probes and every intermediate tuple.
     */
-  def exhaustiveStd(tree: JoinTree, w: Weights = Weights()): (List[Int], Double) =
-    exhaustive(tree, CostModel.stdStep(tree, _, _).total(w))
+  def exhaustiveStd(tree: JoinTree): (List[Int], Double) =
+    exhaustive(tree, CostModel.stdStep(tree, _, _).total(Weights()))
 
   /** Optimal BVP+COM order via Algorithm 1 (Thm 3.3). Adds the constant
     * driver-level bitvector sweep to the returned cost.

@@ -27,15 +27,16 @@ object GraphData {
     Config("yago",     5000,  50000, 1.2),
   )
 
-  /** Edge table E(src, dst): src uniform, dst zipf-skewed (hub vertices).
-    * Deterministic in the seed.
+  /** Edge table E(eid, src, dst): src uniform, dst zipf-skewed (hub
+    * vertices), every column a non-null bigint. Deterministic in the seed.
     */
   def edges(spark: SparkSession, cfg: Config, seed: Long = 7L): DataFrame = {
     val u1 = Draw.u01(col("id"), seed)
     val u2 = Draw.u01(col("id"), seed + 1)
     spark.range(cfg.edges).select(
       col("id").as("eid"),
-      (u1 * cfg.vertices + 1).cast("long").as("src"),
+      // The cast never yields null here; coalesce makes the type say so.
+      coalesce((u1 * cfg.vertices + 1).cast("long"), lit(1L)).as("src"),
       Draw.zipf(u2, cfg.vertices, cfg.alpha).as("dst"),
     )
   }

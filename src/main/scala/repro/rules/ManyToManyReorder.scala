@@ -159,13 +159,15 @@ object ManyToManyReorder {
 
   /** The left-deep chain of inner equi-joins under `plan`: its driver leaf
     * and its joins, innermost first; join k brings in the leaf on its right.
+    * The driver keeps its own pruning Project, as the right leaves do, so
+    * it reads only the columns the chain needs.
     */
   def spine(plan: LogicalPlan): (LogicalPlan, List[Join]) =
     stripPrune(plan) match {
       case j @ Join(l, r, Inner, Some(_: EqualTo), _) if !r.exists(_.isInstanceOf[Join]) =>
         val (d, js) = spine(l)
         (d, js :+ j)
-      case other => (other, Nil)
+      case _ => (plan, Nil)
     }
 
   /** The one leaf that outputs `e`, with the attribute as it outputs it,

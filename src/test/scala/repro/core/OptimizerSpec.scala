@@ -44,7 +44,7 @@ class OptimizerSpec extends AnyFunSuite {
       val n    = 4 + rng.nextInt(4)
       val tree = JoinTree.random(n, (0.05, 0.9), (1, 8), rng, driverSize = 100)
       def stdCost(order: Seq[Int]): Double = CostModel.cost(tree, order, Approach.Std).total(w)
-      val (dpOrder, dpCost) = Optimizer.exhaustiveStd(tree, w)
+      val (dpOrder, dpCost) = Optimizer.exhaustiveStd(tree)
       val (_, bfCost)       = BruteForce(tree, stdCost)
       assert(math.abs(dpCost - bfCost) <= 1e-9 * math.max(1.0, bfCost), s"tree $i")
       assert(math.abs(stdCost(dpOrder) - dpCost) <= 1e-9 * math.max(1.0, dpCost))

@@ -96,8 +96,7 @@ class EnginePropertySpec extends SparkSpec {
     val e = GraphData.edges(spark, GraphData.Config("g", 20, 60, 1.0), seed = 3L)
     for (parents <- Seq(Seq(-1, 0, 1, 2), Seq(-1, 0, 0, 1))) {
       val q = GraphData.aliasQuery(e, parents)
-      // `src` is a nullable bigint, so the rule leaves the chain to Spark.
-      check(q, Optimizer.randomOrder(q.tree, new Random(parents.sum.toLong)), engineRuns = false)
+      check(q, Optimizer.randomOrder(q.tree, new Random(parents.sum.toLong)), engineRuns = true)
     }
   }
 }

@@ -4,7 +4,7 @@ import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.catalyst.plans.{Inner, LeftSemi}
 import org.apache.spark.sql.catalyst.plans.logical.{Join, LogicalPlan, SubqueryAlias}
 import org.apache.spark.sql.catalyst.rules.Rule
-import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.functions.{col, when}
 import repro.SparkSpec
 import repro.core.{Approach, EdgeStats, JoinTree, Optimizer}
 import repro.data.{GraphData, TreeData, TreeQuery}
@@ -194,7 +194,7 @@ class RulesSpec extends SparkSpec {
     // direction: out-edges with m = 0.9, the in-edge with m = 0.1.
     val e = GraphData.edges(spark, GraphData.Config("guard", 40, 160, 0.9), seed = 5L)
     val edges = Seq((0, "dst", 1, "src"), (1, "dst", 3, "src"), (0, "src", 2, "dst"))
-    def selfJoin = edges.foldLeft(e.as("e0")) { case (df, (p, pc, c, cc)) =>
+    def selfJoin(e: DataFrame) = edges.foldLeft(e.as("e0")) { case (df, (p, pc, c, cc)) =>
       df.join(e.as(s"e$c"), col(s"e$p.$pc") === col(s"e$c.$cc"))
     }.select((0 to 3).map(i => col(s"e$i.eid").as(s"k$i")): _*)
     val sql = "SELECT " + (0 to 3).map(i => s"e$i.eid AS k$i").mkString(", ") +
@@ -207,19 +207,30 @@ class RulesSpec extends SparkSpec {
     }
     // The chain's leaves in written order are e0, e1, e3, e2. Algorithm 1
     // on that tree joins the in-edge (leaf 3, alias e2) first.
-    val best = Optimizer.exhaustiveCom(JoinTree(Seq((0, 0.9, 4.0), (1, 0.9, 4.0), (0, 0.1, 4.0))))._1
+    val t     = JoinTree(Seq((0, 0.9, 4.0), (1, 0.9, 4.0), (0, 0.1, 4.0)))
     val alias = Seq(0, 1, 3, 2)
-    assert(best.head == 3)
-    withRules(ManyToManyReorder(byPair)) {
-      val df = selfJoin
-      // Each alias's `eid` attribute tells its leaf in the optimized plan.
-      val eids = (0 to 3).map(i => df.queryExecution.analyzed.collectFirst {
-        case a: SubqueryAlias if a.alias == s"e$i" => a.output.find(_.name == "eid").get.exprId
-      }.get)
-      def aliasesOf(p: LogicalPlan): Set[Int] =
-        eids.indices.filter(i => p.output.exists(_.exprId == eids(i))).toSet
-      assert(joinOrder(df, aliasesOf) == best.map(l => Set(alias(l))))
-      repro.Oracle.assertEquivalent(df, sql, "e" -> e)
+    assert(Optimizer.exhaustiveCom(t)._1.head == 3)
+    // E's columns are non-null bigints, so the engine operator runs the
+    // chain in the COM order. Over a copy of E whose src is nullable, the
+    // rule declines the chain and Spark runs it in the STD order.
+    val nullable = e.withColumn("src", when(col("src") > 0, col("src")))
+    for ((table, runs) <- Seq(e -> true, nullable -> false)) withClue(s"engine runs: $runs: ") {
+      withRules(ManyToManyReorder(byPair)) {
+        val df    = selfJoin(table)
+        val c     = chainOf(df)
+        val order = if (runs) Optimizer.exhaustiveCom(t)._1 else Optimizer.exhaustiveStd(t)._1
+        assert(c.declined.isEmpty == runs && c.order == order)
+        assert(c.declined.forall(_.contains("src is nullable bigint")))
+        assert(operators(df).size == (if (runs) 1 else 0))
+        // Each alias's `eid` attribute tells its leaf in the optimized plan.
+        val eids = (0 to 3).map(i => df.queryExecution.analyzed.collectFirst {
+          case a: SubqueryAlias if a.alias == s"e$i" => a.output.find(_.name == "eid").get.exprId
+        }.get)
+        def aliasesOf(p: LogicalPlan): Set[Int] =
+          eids.indices.filter(i => p.output.exists(_.exprId == eids(i))).toSet
+        assert(joinOrder(df, aliasesOf) == order.map(l => Set(alias(l))))
+        repro.Oracle.assertEquivalent(df, sql, "e" -> table)
+      }
     }
   }
 
@@ -275,6 +286,12 @@ class RulesSpec extends SparkSpec {
       assert(c.toString.contains(s"approach ${c.approach.name}"))
       val ops = operators(df)
       assert(ops.size == 1 && ops.head.simpleString(10).contains(c.toString))
+      // Every leaf, the driver too, reads only its key and join columns.
+      for (i <- 0 until t.n) {
+        val needed = (1 until t.n).filter(t.parent(_) == i).map(pq.parentCol).toSet ++
+          Set(pq.keyCol(i)) ++ (if (i > 0) Set(pq.childCol(i)) else Set.empty)
+        assert(ops.head.children(i).output.map(_.name).toSet == needed, s"leaf $i")
+      }
 
       val (rows, counting) = recordJobs(df.count())
       val (got, collecting) = recordJobs(bag(df))
